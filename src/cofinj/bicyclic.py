@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import NEG_INF, POS_INF, MonotoneElement, identity
+from .core import NEG_INF, POS_INF, MonotoneElement, Segment, _check_int, identity
 
 LETTERS = ("p", "q")
 ORIENTATIONS = ("+", "-")
@@ -48,13 +48,17 @@ def gen(n: int, orientation: str, letter: str) -> MonotoneElement:
         raise ValueError(f"orientation must be '+' or '-', got {orientation!r}")
     if letter not in LETTERS:
         raise ValueError(f"letter must be 'p' or 'q', got {letter!r}")
+    _check_int(n, "index must be an integer")
     if orientation == "+":
         if letter == "p":
-            return MonotoneElement([(NEG_INF, n, 0), (n + 1, POS_INF, 1)])
-        return MonotoneElement([(NEG_INF, n, 0), (n + 2, POS_INF, -1)])
-    if letter == "p":
-        return MonotoneElement([(NEG_INF, n - 1, -1), (n, POS_INF, 0)])
-    return MonotoneElement([(NEG_INF, n - 2, 1), (n, POS_INF, 0)])
+            segs = (Segment(NEG_INF, n, 0), Segment(n + 1, POS_INF, 1))
+        else:
+            segs = (Segment(NEG_INF, n, 0), Segment(n + 2, POS_INF, -1))
+    elif letter == "p":
+        segs = (Segment(NEG_INF, n - 1, -1), Segment(n, POS_INF, 0))
+    else:
+        segs = (Segment(NEG_INF, n - 2, 1), Segment(n, POS_INF, 0))
+    return MonotoneElement._trusted(segs)
 
 
 def eval_word(word: BicyclicWord) -> MonotoneElement:

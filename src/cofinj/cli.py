@@ -163,7 +163,7 @@ def main(argv=None) -> int:
     ap.add_argument("--script", metavar="FILE", help="evaluate statements from a file, one per line")
     ap.add_argument("--eggbox", metavar="G,S", help="export the egg-box grid for gap bound G and shift window S")
     ap.add_argument("--out", metavar="FILE", help="write output to a file instead of stdout")
-    ap.add_argument("--format", choices=["text", "json", "dot"], default="text")
+    ap.add_argument("--format", choices=["text", "json"], default="text")
     ap.add_argument("--seed", type=int, default=0, help="seed for the sampling forms (sample, audit_*)")
     args = ap.parse_args(argv)
 

@@ -50,15 +50,24 @@ def _is_bound(v) -> bool:
     return isinstance(v, int) or v == NEG_INF or v == POS_INF
 
 
+def _check_int(v, message: str):
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise InvalidElementError(f"{message}, got {v!r}")
+
+
 def _check_segment(lo, hi, offset):
     if not _is_bound(lo) or not _is_bound(hi):
         raise InvalidElementError(f"segment bounds must be integers or +/-inf, got ({lo}, {hi})")
-    if not isinstance(offset, int) or isinstance(offset, bool):
-        raise InvalidElementError(f"segment offset must be an integer, got {offset!r}")
+    _check_int(offset, "segment offset must be an integer")
     if lo == POS_INF or hi == NEG_INF:
         raise InvalidElementError("segment bounds out of orientation: lo < +inf and hi > -inf required")
     if lo > hi:
         raise InvalidElementError(f"empty segment ({lo}..{hi})")
+
+
+def _check_gaps(gaps):
+    for g in gaps:
+        _check_int(g, "gap positions must be integers")
 
 
 def _check_canonical(segs):
@@ -87,6 +96,14 @@ class MonotoneElement:
     into tuple equality.  Use :func:`normalize` (or the constructors
     ``identity``, ``shift``, ``element_from_gaps``) rather than building
     segment lists by hand.
+
+    Outside data is validated once, where it enters: this constructor,
+    :func:`normalize`, :func:`parse_element`, :func:`shift`,
+    :func:`collapse_element`, :func:`element_from_gaps` and
+    ``IdempotentGaps(...)`` check their arguments.  Results computed from
+    elements that are already canonical (``*``, :meth:`inverse`, collapses,
+    ``IdempotentGaps.to_element``, the bicyclic generators) are canonical by
+    construction and are wrapped by :meth:`_trusted` without a second check.
     """
 
     __slots__ = ("segments",)
@@ -95,6 +112,13 @@ class MonotoneElement:
         segs = tuple(Segment(*s) for s in segments)
         _check_canonical(segs)
         object.__setattr__(self, "segments", segs)
+
+    @classmethod
+    def _trusted(cls, segs: tuple) -> "MonotoneElement":
+        """Wrap a tuple of Segments that is canonical by construction, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "segments", segs)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("MonotoneElement is immutable")
@@ -117,12 +141,14 @@ class MonotoneElement:
 
     def __mul__(self, other):
         if isinstance(other, MonotoneElement):
-            return MonotoneElement(_kernel.compose_segments(self.segments, other.segments))
+            segs = _kernel.compose_segments(self.segments, other.segments)
+            return MonotoneElement._trusted(tuple(map(Segment._make, segs)))
         return NotImplemented
 
     def inverse(self) -> "MonotoneElement":
-        return MonotoneElement(
-            Segment(lo + o, hi + o, -o) for lo, hi, o in self.segments
+        # the images of a canonical segment list, read as domains, are canonical too
+        return MonotoneElement._trusted(
+            tuple(Segment(lo + o, hi + o, -o) for lo, hi, o in self.segments)
         )
 
     def __invert__(self):
@@ -198,7 +224,9 @@ def normalize(raw: Iterable[tuple]) -> MonotoneElement:
 
     Accepts segments in any order and merges adjacent pieces with equal
     offset; rejects overlapping domains, out-of-order images, a bounded
-    first/last piece, and empty input.  Idempotent on canonical input.
+    first/last piece, and empty input.  Idempotent on canonical input.  The
+    checks below are all that canonical form needs, so the result is not
+    validated a second time.
     """
     segs = [Segment(*s) for s in raw]
     if not segs:
@@ -217,7 +245,11 @@ def normalize(raw: Iterable[tuple]) -> MonotoneElement:
             if not prev.hi + prev.offset < seg.lo + seg.offset:
                 raise InvalidElementError("segment images overlap or are out of order")
             merged.append(seg)
-    return MonotoneElement(merged)
+    if merged[0].lo != NEG_INF:
+        raise InvalidElementError("leftmost segment must extend to -inf")
+    if merged[-1].hi != POS_INF:
+        raise InvalidElementError("rightmost segment must extend to +inf")
+    return MonotoneElement._trusted(tuple(merged))
 
 
 def identity() -> MonotoneElement:
@@ -231,17 +263,18 @@ def shift(k: int) -> MonotoneElement:
 
 @lru_cache(maxsize=8192)
 def _collapse_cached(gaps: tuple) -> MonotoneElement:
+    """collapse_element for a sorted tuple of distinct integer gaps."""
     segs = []
     prev = NEG_INF
     dropped = 0
     for g in gaps:
         lo = prev + 1
         if lo <= g - 1:
-            segs.append((lo, g - 1, -dropped))
+            segs.append(Segment(lo, g - 1, -dropped))
         dropped += 1
         prev = g
-    segs.append((prev + 1, POS_INF, -dropped))
-    return MonotoneElement(segs)
+    segs.append(Segment(prev + 1, POS_INF, -dropped))
+    return MonotoneElement._trusted(tuple(segs))
 
 
 def collapse_element(gaps: Iterable[int]) -> MonotoneElement:
@@ -250,13 +283,11 @@ def collapse_element(gaps: Iterable[int]) -> MonotoneElement:
     Sends x to x minus the number of gaps below x; this is the canonical
     choice of monotone bijection from a cofinite set onto Z.
     """
-    gs = tuple(sorted(set(gaps)))
+    gs = set(gaps)
     if not gs:
         return identity()
-    for g in gs:
-        if not isinstance(g, int) or isinstance(g, bool):
-            raise InvalidElementError(f"gap positions must be integers, got {g!r}")
-    return _collapse_cached(gs)
+    _check_gaps(gs)
+    return _collapse_cached(tuple(sorted(gs)))
 
 
 def element_from_gaps(dom_gaps: Iterable[int], ran_gaps: Iterable[int], left_offset: int) -> MonotoneElement:
@@ -265,9 +296,12 @@ def element_from_gaps(dom_gaps: Iterable[int], ran_gaps: Iterable[int], left_off
     Built as collapse(dom_gaps), then the shift, then the inverse collapse of
     ran_gaps; the three data determine the element completely.
     """
+    _check_int(left_offset, "left_offset must be an integer")
     left = collapse_element(dom_gaps)
     if left_offset:
-        left = MonotoneElement(Segment(lo, hi, o + left_offset) for lo, hi, o in left.segments)
+        left = MonotoneElement._trusted(
+            tuple(Segment(lo, hi, o + left_offset) for lo, hi, o in left.segments)
+        )
     return left * collapse_element(ran_gaps).inverse()
 
 
@@ -344,9 +378,7 @@ class IdempotentGaps:
 
     def __init__(self, gaps: Iterable[int] = ()):
         gs = frozenset(gaps)
-        for g in gs:
-            if not isinstance(g, int) or isinstance(g, bool):
-                raise InvalidElementError(f"gap positions must be integers, got {g!r}")
+        _check_gaps(gs)
         object.__setattr__(self, "gaps", gs)
 
     def __setattr__(self, name, value):
@@ -359,15 +391,9 @@ class IdempotentGaps:
         return cls(elem.dom_gaps())
 
     def to_element(self) -> MonotoneElement:
-        segs = []
-        prev = NEG_INF
-        for g in sorted(self.gaps):
-            lo = prev + 1
-            if lo <= g - 1:
-                segs.append((lo, g - 1, 0))
-            prev = g
-        segs.append((prev + 1, POS_INF, 0))
-        return MonotoneElement(segs)
+        # the collapse of the same gaps has the same domain; zero its offsets
+        segs = _collapse_cached(tuple(sorted(self.gaps))).segments
+        return MonotoneElement._trusted(tuple(Segment(lo, hi, 0) for lo, hi, _ in segs))
 
     def leq(self, other: "IdempotentGaps") -> bool:
         """Natural partial order: self <= other iff dom(self) is contained in dom(other)."""

@@ -85,3 +85,49 @@ def enumerate_monotone(dom_positions, max_dom, ran_positions, max_ran, offsets):
                     for left in offsets:
                         if left + nr - nd in offsets:
                             yield element_from_gaps(dgaps, rgaps, left)
+
+
+# -- pointwise checks on all of Z, for elements of any width ---------------------------
+
+
+def breaks(elem) -> set:
+    """Each finite segment start of elem, and each point just after a finite segment end.
+
+    Between two consecutive breaks the map is one translation or undefined
+    throughout.
+    """
+    return {b for lo, hi, _ in elem.segments for b in (lo, hi + 1) if b not in (NEG_INF, POS_INF)}
+
+
+def image_breaks(elem) -> set:
+    """The breaks of elem's inverse map, read off elem's segments."""
+    return {b + o for lo, hi, o in elem.segments for b in (lo, hi + 1) if b not in (NEG_INF, POS_INF)}
+
+
+def preimage(elem, y):
+    """The x with elem(x) == y, or None; tries one candidate per segment offset."""
+    for _, _, o in elem.segments:
+        if elem(y - o) == y:
+            return y - o
+    return None
+
+
+def pull_back(elem, ys) -> set:
+    """The points that elem maps into ys."""
+    return {x for y in ys if (x := preimage(elem, y)) is not None}
+
+
+def assert_pointwise(elem, ref, ref_breaks):
+    """elem(x) == ref(x) for every integer x.
+
+    ref is a function returning None off its domain that is one translation
+    or undefined between consecutive points of ref_breaks.  Together with
+    breaks(elem) those points cut Z into stretches on which both maps act
+    uniformly, so comparing the maps at the first point of every stretch,
+    and at one point left of all of them, compares them on all of Z however
+    large the integers are.
+    """
+    pts = breaks(elem) | set(ref_breaks)
+    pts.add(min(pts, default=0) - 1)
+    for x in sorted(pts):
+        assert elem(x) == ref(x), f"pointwise mismatch at {x}: {elem(x)} != {ref(x)}"

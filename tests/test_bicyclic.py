@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from cofinj.core import IdempotentGaps, identity, parse_element
+from cofinj.core import IdempotentGaps, InvalidElementError, identity, parse_element
 from cofinj.bicyclic import BicyclicWord, eval_word, gen, normal_form
 
 
@@ -18,6 +18,9 @@ def test_generator_rejects_bad_input():
         gen(0, "x", "p")
     with pytest.raises(ValueError):
         gen(0, "+", "r")
+    for n in (1.5, True, "0"):
+        with pytest.raises(InvalidElementError):
+            gen(n, "+", "p")
 
 
 def test_defining_relation_all_indices_both_orientations():

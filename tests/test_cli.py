@@ -51,6 +51,14 @@ def test_json_format_other_values(capsys):
     assert data["type"] == "almost" and data["middle"] == [[1, 5], [2, 3]]
 
 
+def test_format_dot_is_rejected(capsys):
+    # DOT output comes only from --eggbox
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--eval", "id", "--format", "dot"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_script_mode(tmp_path, capsys):
     script = tmp_path / "batch.cfj"
     script.write_text(

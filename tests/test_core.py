@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cofinj import bicyclic, core
 from cofinj.core import (
     NEG_INF,
     POS_INF,
@@ -22,7 +23,17 @@ from cofinj.core import (
     shift,
 )
 
-from helpers import assert_same_on_window, compose_maps, window_bound, window_map
+from helpers import (
+    assert_pointwise,
+    assert_same_on_window,
+    breaks,
+    compose_maps,
+    image_breaks,
+    preimage,
+    pull_back,
+    window_bound,
+    window_map,
+)
 
 
 # -- normalize -----------------------------------------------------------------
@@ -267,6 +278,128 @@ def test_collapse_element():
     c2 = collapse_element({0, 1})
     assert c2(2) == 0 and c2(-1) == -1 and c2(0) is None
     assert collapse_element(()) == identity()
+    for gaps in (["a", 1], [1.5], [True]):
+        with pytest.raises(InvalidElementError):
+            collapse_element(gaps)
+
+
+def test_element_from_gaps_rejects_non_integer_offset():
+    for k in (True, 1.5, 0.0):
+        with pytest.raises(InvalidElementError):
+            element_from_gaps((), (), k)
+
+
+# -- results built without re-validation, against pointwise oracles -------------------
+#
+# Products, inverses, collapses, element_from_gaps, IdempotentGaps.to_element,
+# the bicyclic generators and normalize skip the canonical-form check on their
+# results.  Each result here must pass that check and agree with an oracle on
+# all of Z (see helpers.assert_pointwise), across small, long (more segments
+# than the compiled kernel takes) and 2^60-wide elements.
+
+WIDE = 2**60
+
+
+def _gaps_corpus():
+    """(dom_gaps, ran_gaps, left_offset) triples: small, long and wide."""
+    rng = random.Random(21)
+    out = []
+    for _ in range(30):
+        d = rng.sample(range(-8, 9), rng.randint(0, 3))
+        r = rng.sample(range(-8, 9), rng.randint(0, 3))
+        out.append((d, r, rng.randint(-3, 3)))
+    for _ in range(4):
+        d = rng.sample(range(-300, 301, 4), 36)
+        r = rng.sample(range(-300, 301, 4), 36)
+        out.append((d, r, rng.randint(-3, 3)))
+    for _ in range(6):
+        d = [WIDE + g for g in rng.sample(range(-8, 9), rng.randint(0, 3))]
+        r = [WIDE + g for g in rng.sample(range(-8, 9), rng.randint(1, 3))]
+        out.append((d, r, rng.randint(-3, 3)))
+        out.append((rng.sample(range(-8, 9), 2), [], rng.choice([-1, 1]) * WIDE + rng.randint(-3, 3)))
+    return out
+
+
+def _collapse_ref(gaps):
+    return lambda x: None if x in gaps else x - sum(g < x for g in gaps)
+
+
+def _from_gaps_ref(d, r, k):
+    """x -> the (rank of x outside d, plus k)-th point outside r, both counted from the left tail."""
+    rs = sorted(r)
+
+    def ref(x):
+        if x in d:
+            return None
+        z = x - sum(g < x for g in d) + k
+        for g in rs:
+            if g <= z:
+                z += 1
+        return z
+
+    # the rank map is a translation between points of d; the walk over r
+    # jumps where z first reaches each gap
+    jumps = {g + 1 - sum(h <= g for h in r) for g in r}
+    ref_breaks = set(d) | {g + 1 for g in d} | {y - k + j for y in jumps for j in range(len(d) + 1)}
+    return ref, ref_breaks
+
+
+def _gen_ref(n, orientation, letter):
+    if orientation == "+":
+        if letter == "p":
+            return lambda x: x if x <= n else x + 1
+        return lambda x: x if x <= n else (None if x == n + 1 else x - 1)
+    if letter == "p":
+        return lambda x: x if x >= n else x - 1
+    return lambda x: x if x >= n else (None if x == n - 1 else x + 1)
+
+
+def _check_trusted(x, ref, ref_breaks):
+    core._check_canonical(x.segments)
+    assert_pointwise(x, ref, ref_breaks)
+
+
+def _split_and_shuffle(elem, rng):
+    """The same map as a shuffled list of segments, some of them cut in two."""
+    raw = []
+    for lo, hi, o in elem.segments:
+        cut = hi - 1 if lo == NEG_INF else lo + rng.randint(0, 2)
+        if lo <= cut < hi and rng.random() < 0.6:
+            raw += [(lo, cut, o), (cut + 1, hi, o)]
+        else:
+            raw.append((lo, hi, o))
+    rng.shuffle(raw)
+    return raw
+
+
+def test_trusted_results_match_pointwise_oracles():
+    rng = random.Random(22)
+    corpus = []
+    for d, r, k in _gaps_corpus():
+        e = element_from_gaps(d, r, k)
+        _check_trusted(e, *_from_gaps_ref(set(d), set(r), k))
+        for gaps in (d, r):
+            _check_trusted(collapse_element(gaps), _collapse_ref(set(gaps)), {b for g in gaps for b in (g, g + 1)})
+            _check_trusted(
+                IdempotentGaps(gaps).to_element(),
+                lambda x, gs=set(gaps): None if x in gs else x,
+                {b for g in gaps for b in (g, g + 1)},
+            )
+        _check_trusted(e.inverse(), lambda y, e=e: preimage(e, y), image_breaks(e))
+        got = normalize(_split_and_shuffle(e, rng))
+        assert got == e
+        _check_trusted(got, e, breaks(e))
+        corpus.append(e)
+    assert max(len(e.segments) for e in corpus) >= 70
+    pairs = [(a, b) for a in corpus for b in corpus if len(a.segments) + len(b.segments) > 60 or rng.random() < 0.1]
+    for a, b in pairs:
+        ref = lambda x, a=a, b=b: None if a(x) is None else b(a(x))
+        _check_trusted(a * b, ref, breaks(a) | pull_back(a, breaks(b)))
+    for n in (-3, 0, 5, WIDE, -WIDE):
+        for orientation in bicyclic.ORIENTATIONS:
+            for letter in bicyclic.LETTERS:
+                g = bicyclic.gen(n, orientation, letter)
+                _check_trusted(g, _gen_ref(n, orientation, letter), range(n - 1, n + 3))
 
 
 # -- random_element -----------------------------------------------------------------
