@@ -77,15 +77,37 @@ class AlmostMonotoneElement:
     # -- gap and tail data ----------------------------------------------------
 
     def dom_gaps(self) -> frozenset:
+        """Every integer outside the domain; its size grows with the window width."""
         return frozenset(
             x for x in range(self.left_end + 1, self.right_start) if x not in self.middle
         )
 
     def ran_gaps(self) -> frozenset:
+        """Every integer outside the range; its size grows with the window width."""
         taken = set(self.middle.values())
         lo = self.left_end + self.left_offset
         hi = self.right_start + self.right_offset
         return frozenset(y for y in range(lo + 1, hi) if y not in taken)
+
+    def _dom_runs(self) -> list:
+        """The domain gaps as sorted maximal (lo, hi) runs, from the window and the sorted middle keys."""
+        return _runs_between(self.left_end, sorted(self.middle), self.right_start)
+
+    def _ran_runs(self) -> list:
+        """The range gaps as sorted maximal (lo, hi) runs, from the tail images and the sorted middle values."""
+        return _runs_between(
+            self.left_end + self.left_offset,
+            sorted(self.middle.values()),
+            self.right_start + self.right_offset,
+        )
+
+    def _pieces(self) -> list:
+        """Domain-sorted (lo, hi, offset) translation pieces: the tails, each middle point alone."""
+        return (
+            [(NEG_INF, self.left_end, self.left_offset)]
+            + [(k, k, self.middle[k] - k) for k in sorted(self.middle)]
+            + [(self.right_start, POS_INF, self.right_offset)]
+        )
 
     def is_idempotent(self) -> bool:
         return (
@@ -142,6 +164,17 @@ class AlmostMonotoneElement:
 
     def __repr__(self):
         return self.to_text()
+
+
+def _runs_between(lo, points, hi) -> list:
+    """Maximal (lo, hi) runs of the integers strictly between lo and hi missing from sorted points."""
+    out = []
+    prev = lo
+    for p in points + [hi]:
+        if prev + 1 < p:
+            out.append((prev + 1, p - 1))
+        prev = p
+    return out
 
 
 def _check_window(d, dl, u, ur, middle):

@@ -168,16 +168,36 @@ class MonotoneElement:
         return self.segments[-1].offset
 
     def dom_gaps(self) -> frozenset:
+        """Every integer outside the domain; its size grows with the gap widths."""
         out = []
         for (lo1, hi1, o1), (lo2, hi2, o2) in zip(self.segments, self.segments[1:]):
             out.extend(range(hi1 + 1, lo2))
         return frozenset(out)
 
     def ran_gaps(self) -> frozenset:
+        """Every integer outside the range; its size grows with the gap widths."""
         out = []
         for (lo1, hi1, o1), (lo2, hi2, o2) in zip(self.segments, self.segments[1:]):
             out.extend(range(hi1 + o1 + 1, lo2 + o2))
         return frozenset(out)
+
+    def _dom_runs(self) -> list:
+        """The domain gaps as sorted maximal (lo, hi) runs, read off adjacent segments."""
+        segs = self.segments
+        return [(s.hi + 1, t.lo - 1) for s, t in zip(segs, segs[1:]) if s.hi + 1 < t.lo]
+
+    def _ran_runs(self) -> list:
+        """The range gaps as sorted maximal (lo, hi) runs, read off adjacent segment images."""
+        segs = self.segments
+        return [
+            (s.hi + s.offset + 1, t.lo + t.offset - 1)
+            for s, t in zip(segs, segs[1:])
+            if s.hi + s.offset + 1 < t.lo + t.offset
+        ]
+
+    def _pieces(self) -> tuple:
+        """Domain-sorted (lo, hi, offset) translation pieces covering the domain."""
+        return self.segments
 
     # -- equality and text ----------------------------------------------------
 
@@ -325,6 +345,21 @@ def random_element(seed, max_gaps: int, max_offset: int) -> MonotoneElement:
     dgaps = rng.sample(positions, nd)
     rgaps = rng.sample(positions, nr)
     return element_from_gaps(dgaps, rgaps, left)
+
+
+def _runs_within(inner, outer) -> bool:
+    """True when every point of the sorted maximal runs ``inner`` lies in the runs ``outer``.
+
+    A run of inner is then inside one maximal run of outer: the first outer
+    run that does not end before it.
+    """
+    j, n = 0, len(outer)
+    for lo, hi in inner:
+        while j < n and outer[j][1] < lo:
+            j += 1
+        if j == n or outer[j][0] > lo or outer[j][1] < hi:
+            return False
+    return True
 
 
 # -- spec-level operation aliases ----------------------------------------------

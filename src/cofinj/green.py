@@ -3,7 +3,8 @@ arbitrary idempotents, the two-sided factorization through any element, and
 exact finite solution sets for one-sided equations.
 
 Both element kinds (monotone and almost-monotone) are accepted wherever gaps
-determine the answer: the R/L/H relations compare domain and range gap sets.
+determine the answer: the R/L/H relations compare domain and range gap sets,
+as sorted maximal runs, so their cost does not grow with the gap widths.
 The equation solvers enumerate the full (finite) solution set of a*x == b or
 x*a == b, either inside the monotone monoid or inside the almost-monotone
 one.
@@ -18,6 +19,7 @@ from .core import (
     MonotoneElement,
     collapse_element,
     element_from_gaps,
+    _runs_within,
     normalize,
 )
 from . import almost as _almost
@@ -25,12 +27,12 @@ from . import almost as _almost
 
 def r_equiv(a, b) -> bool:
     """Same principal right ideal, i.e. equal domains."""
-    return a.dom_gaps() == b.dom_gaps()
+    return a._dom_runs() == b._dom_runs()
 
 
 def l_equiv(a, b) -> bool:
     """Same principal left ideal, i.e. equal ranges."""
-    return a.ran_gaps() == b.ran_gaps()
+    return a._ran_runs() == b._ran_runs()
 
 
 def h_equiv(a, b) -> bool:
@@ -116,7 +118,7 @@ def solve_right(a, b, within: str | None = None):
 
 
 def _solve_right_monotone(a: MonotoneElement, b: MonotoneElement):
-    if not a.dom_gaps() <= b.dom_gaps():
+    if not _runs_within(a._dom_runs(), b._dom_runs()):
         return ()
     forced = a.inverse() * b
     free = sorted(a.ran_gaps())
@@ -144,7 +146,7 @@ def _solve_right_monotone(a: MonotoneElement, b: MonotoneElement):
 
 
 def _solve_right_almost(a, b):
-    if not a.dom_gaps() <= b.dom_gaps():
+    if not _runs_within(a._dom_runs(), b._dom_runs()):
         return ()
     forced = _almost.compose_almost(_almost.inverse_almost(a), b)
     free = sorted(a.ran_gaps())

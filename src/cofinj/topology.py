@@ -16,10 +16,14 @@ certified by explicit pin constructions plus randomized membership audits:
   dom(a*b).
 * ``inverse_cover(g, F)`` returns (source, target) pin sets with
   (U_g(source))^-1 inside U_{g^-1}(target).  Besides (F)g-style pins, the
-  source must pin the two domain neighbors around each range gap r of g:
-  their images bracket r between consecutive values, so no member of the
-  pinned set can reach r, which is what keeps inverted domains inside
-  ran(g).
+  source must pin the two domain neighbors around each maximal run of range
+  gaps of g: their images bracket the run between consecutive values, so no
+  member of the pinned set can reach it, which is what keeps inverted
+  domains inside ran(g).
+
+All of these read gap sets as sorted maximal (lo, hi) runs and elements as
+their translation pieces, so membership, the covers and ``separate`` cost
+time in the number of segments or middle points, not in the gap widths.
 
 On the monotone submonoid an H-flavor neighborhood with at least one pin is
 the singleton of its center: a monotone bijection between two fixed cofinite
@@ -35,6 +39,7 @@ from .core import (
     MonotoneElement,
     NEG_INF,
     POS_INF,
+    _runs_within,
     identity,
     normalize,
 )
@@ -89,10 +94,10 @@ class BasicNeighborhood:
 def member(nbhd: BasicNeighborhood, elem) -> bool:
     c = nbhd.center
     if nbhd.flavor == "W":
-        if not c.dom_gaps() <= elem.dom_gaps():
+        if not _runs_within(c._dom_runs(), elem._dom_runs()):
             return False
     else:
-        if c.dom_gaps() != elem.dom_gaps() or c.ran_gaps() != elem.ran_gaps():
+        if c._dom_runs() != elem._dom_runs() or c._ran_runs() != elem._ran_runs():
             return False
     return all(elem(x) == c(x) for x in nbhd.pins)
 
@@ -130,33 +135,29 @@ def product_cover(a, b, pins):
     for x in pins:
         if x not in g:
             raise InvalidElementError(f"pin {x} is outside dom of the product")
-    ainv = a.inverse()
+    # the escapes: a.inverse() applied to the domain gaps of b it is defined on
     escapes = set()
-    for y in b.dom_gaps():
-        x = ainv(y)
-        if x is not None:
-            escapes.add(x)
+    for lo, hi, (_, _, off), _ in _overlaps(a.inverse()._pieces(), b._dom_runs()):
+        escapes.update(range(lo + off, hi + off + 1))
     f2 = frozenset(a(x) for x in pins)
     return frozenset(pins | escapes), f2
 
 
 def inverse_cover(g, pins):
-    """Pin sets (source, target) with (U_g(source))^-1 contained in U_{g^-1}(target)."""
+    """Pin sets (source, target) with (U_g(source))^-1 contained in U_{g^-1}(target).
+
+    The source is the pins plus the preimages of the two range points
+    around each maximal run of range gaps of g.
+    """
     pins = frozenset(pins)
     for x in pins:
         if x not in g:
             raise InvalidElementError(f"pin {x} is outside the domain")
     ginv = g.inverse()
     brackets = set()
-    for r in g.ran_gaps():
-        lo = r - 1
-        while ginv(lo) is None:
-            lo -= 1
-        hi = r + 1
-        while ginv(hi) is None:
-            hi += 1
-        brackets.add(ginv(lo))
-        brackets.add(ginv(hi))
+    for lo, hi in g._ran_runs():
+        brackets.add(ginv(lo - 1))
+        brackets.add(ginv(hi + 1))
     src = pins | brackets
     tgt = frozenset(g(x) for x in src)
     return frozenset(src), tgt
@@ -172,19 +173,56 @@ def separate(a, b):
     """
     if _almost.canonicalize(a) == _almost.canonicalize(b):
         raise InvalidElementError("cannot separate an element from itself")
-    w = _extent(a) + _extent(b) + 2
-    for x in sorted(range(-w, w + 1), key=lambda t: (abs(t), t)):
-        va, vb = a(x), b(x)
-        if va is not None and vb is not None and va != vb:
-            return frozenset({x}), frozenset({x})
-    diff = sorted(
-        (a.dom_gaps() ^ b.dom_gaps()),
-        key=lambda t: (abs(t), t),
-    )
-    x = diff[0]
+    overlaps = _overlaps(a._pieces(), b._pieces())
+    x = _nearest_zero((lo, hi) for lo, hi, p, q in overlaps if p[2] != q[2])
+    if x is not None:
+        return frozenset({x}), frozenset({x})
+    x = _nearest_zero(_runs_xor(a._dom_runs(), b._dom_runs()))
     if x in a:
         return frozenset({x}), frozenset()
     return frozenset(), frozenset({x})
+
+
+def _overlaps(pa, pb):
+    """(lo, hi, p, q) for each nonempty overlap lo..hi of an item p of pa with an item q of pb.
+
+    Items are (lo, hi, ...) intervals, each list sorted and disjoint; one
+    merge walk over both lists.
+    """
+    i = j = 0
+    while i < len(pa) and j < len(pb):
+        p, q = pa[i], pb[j]
+        lo, hi = max(p[0], q[0]), min(p[1], q[1])
+        if lo <= hi:
+            yield lo, hi, p, q
+        if p[1] < q[1]:
+            i += 1
+        else:
+            j += 1
+
+
+def _nearest_zero(intervals):
+    """The (|x|, x)-smallest integer in the nonempty intervals (lo, hi), or None when there are none.
+
+    Bounds may be infinite; the answer never is.
+    """
+    return min(
+        (lo if lo > 0 else hi if hi < 0 else 0 for lo, hi in intervals),
+        key=lambda x: (abs(x), x),
+        default=None,
+    )
+
+
+def _runs_xor(ra, rb) -> list:
+    """The maximal (lo, hi) runs of the points in exactly one of two run lists."""
+    # each run flips membership at lo and back at hi + 1; equal flips from both lists cancel
+    flips = []
+    for p in sorted(p for lo, hi in ra + rb for p in (lo, hi + 1)):
+        if flips and flips[-1] == p:
+            flips.pop()
+        else:
+            flips.append(p)
+    return [(lo, end - 1) for lo, end in zip(flips[::2], flips[1::2])]
 
 
 def _mul(a, b):

@@ -131,3 +131,98 @@ def assert_pointwise(elem, ref, ref_breaks):
     pts.add(min(pts, default=0) - 1)
     for x in sorted(pts):
         assert elem(x) == ref(x), f"pointwise mismatch at {x}: {elem(x)} != {ref(x)}"
+
+
+# -- point-walk references for the gap-run arithmetic ----------------------------------
+#
+# These are the frozenset and point-by-point versions of Green's relations,
+# pin-neighborhood membership and the three topology certificates.  The library
+# reads gap runs and translation pieces instead; these stay as the reference.
+# Their cost grows with the gap widths (ref_inverse_cover quadratically) and
+# ref_separate walks the whole window [-w, w], so keep the inputs narrow.
+
+
+def ref_r_equiv(a, b) -> bool:
+    return a.dom_gaps() == b.dom_gaps()
+
+
+def ref_l_equiv(a, b) -> bool:
+    return a.ran_gaps() == b.ran_gaps()
+
+
+def ref_h_equiv(a, b) -> bool:
+    return ref_r_equiv(a, b) and ref_l_equiv(a, b)
+
+
+def ref_dom_within(a, b) -> bool:
+    """The solvers' precondition: every domain gap of a is a domain gap of b."""
+    return a.dom_gaps() <= b.dom_gaps()
+
+
+def ref_member(nbhd, elem) -> bool:
+    c = nbhd.center
+    if nbhd.flavor == "W":
+        if not c.dom_gaps() <= elem.dom_gaps():
+            return False
+    else:
+        if c.dom_gaps() != elem.dom_gaps() or c.ran_gaps() != elem.ran_gaps():
+            return False
+    return all(elem(x) == c(x) for x in nbhd.pins)
+
+
+def ref_product_cover(a, b, pins):
+    g = a * b
+    pins = frozenset(pins)
+    for x in pins:
+        if x not in g:
+            raise ValueError(f"pin {x} is outside dom of the product")
+    ainv = a.inverse()
+    escapes = set()
+    for y in b.dom_gaps():
+        x = ainv(y)
+        if x is not None:
+            escapes.add(x)
+    f2 = frozenset(a(x) for x in pins)
+    return frozenset(pins | escapes), f2
+
+
+def ref_inverse_cover(g, pins):
+    pins = frozenset(pins)
+    for x in pins:
+        if x not in g:
+            raise ValueError(f"pin {x} is outside the domain")
+    ginv = g.inverse()
+    brackets = set()
+    for r in g.ran_gaps():
+        lo = r - 1
+        while ginv(lo) is None:
+            lo -= 1
+        hi = r + 1
+        while ginv(hi) is None:
+            hi += 1
+        brackets.add(ginv(lo))
+        brackets.add(ginv(hi))
+    src = pins | brackets
+    tgt = frozenset(g(x) for x in src)
+    return frozenset(src), tgt
+
+
+def ref_separate(a, b):
+    """The witness by (|x|, x) over [-w, w]; a and b must differ as maps."""
+    w = finite_bound(a) + finite_bound(b) + 2
+    for x in sorted(range(-w, w + 1), key=lambda t: (abs(t), t)):
+        va, vb = a(x), b(x)
+        if va is not None and vb is not None and va != vb:
+            return frozenset({x}), frozenset({x})
+    diff = sorted(
+        (a.dom_gaps() ^ b.dom_gaps()),
+        key=lambda t: (abs(t), t),
+    )
+    x = diff[0]
+    if x in a:
+        return frozenset({x}), frozenset()
+    return frozenset(), frozenset({x})
+
+
+def expand_runs(runs) -> frozenset:
+    return frozenset(x for lo, hi in runs for x in range(lo, hi + 1))
