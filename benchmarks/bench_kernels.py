@@ -1,4 +1,4 @@
-"""Benchmark the compiled composition kernel against the pure-Python one.
+"""Time the segment composition kernel on its own.
 
 The composition kernel dominates two real workloads: the brute-force
 completeness oracle for the equation solvers (millions of candidate
@@ -11,13 +11,8 @@ import argparse
 import random
 import time
 
-from cofinj import _pykernel
+from cofinj import _kernel
 from cofinj.core import random_element
-
-try:
-    from cofinj import _ckernel
-except ImportError:
-    _ckernel = None
 
 
 def bench(fn, pairs, n):
@@ -33,7 +28,7 @@ def bench(fn, pairs, n):
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--n", type=int, default=200_000, help="compositions per kernel per workload")
+    ap.add_argument("--n", type=int, default=200_000, help="compositions per workload")
     args = ap.parse_args()
 
     rng = random.Random(0)
@@ -47,13 +42,8 @@ def main():
     ]
 
     for label, pairs in [("small (<=2 gaps)", small), ("wide (<=6 gaps)", wide)]:
-        ns_pure = bench(_pykernel.compose_segments, pairs, args.n)
-        print(f"{label:18s} pure: {ns_pure:9.1f} ns/op")
-        if _ckernel is not None:
-            ns_c = bench(_ckernel.compose_segments, pairs, args.n)
-            print(f"{label:18s} c:    {ns_c:9.1f} ns/op   ({ns_pure / ns_c:.1f}x)")
-        else:
-            print(f"{label:18s} c:    not built")
+        ns = bench(_kernel.compose_segments, pairs, args.n)
+        print(f"{label:18s} {ns:9.1f} ns/op")
 
 
 if __name__ == "__main__":

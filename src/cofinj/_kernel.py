@@ -1,34 +1,47 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""The segment composition kernel.
 
-Set COFINJ_KERNEL=pure to force the fallback.  The compiled kernel only
-handles bounds below 2^59; larger values transparently fall back, so exact
-arbitrary-precision semantics are preserved either way.
+Segments are (lo, hi, offset) triples with float infinities allowed at the
+outer ends.  Monotone ``*`` passes two canonical segment lists; almost-monotone
+composition passes the left factor's translation pieces sorted by image.
+All arithmetic is on Python ints, so it is exact at any width.
 """
-
-import os
-
-from . import _pykernel
-
-_ckernel = None
-if os.environ.get("COFINJ_KERNEL", "").lower() not in ("pure", "py", "python"):
-    try:
-        from . import _ckernel as _ck
-
-        _ckernel = _ck
-    except ImportError:
-        _ckernel = None
 
 
 def kernel_name() -> str:
-    return "c" if _ckernel is not None else "pure"
+    """The kernel in use; only the pure-Python one exists."""
+    return "pure"
 
 
-if _ckernel is None:
-    compose_segments = _pykernel.compose_segments
-else:
+def compose_segments(a, b):
+    """Segments of the composite map 'a then b', merged where consecutive.
 
-    def compose_segments(a, b):
-        try:
-            return _ckernel.compose_segments(a, b)
-        except OverflowError:
-            return _pykernel.compose_segments(a, b)
+    ``a`` must be sorted by image and ``b`` by domain, each disjoint.  The
+    output follows a's order; pieces adjacent in it with one offset and
+    touching domains are merged, which for canonical monotone input gives
+    canonical form.
+    """
+    out = []
+    j = 0
+    nb = len(b)
+    for lo, hi, off in a:
+        ilo = lo + off
+        ihi = hi + off
+        while j < nb and b[j][1] < ilo:
+            j += 1
+        k = j
+        while k < nb and b[k][0] <= ihi:
+            blo, bhi, boff = b[k]
+            s_lo = ilo if ilo > blo else blo
+            s_hi = ihi if ihi < bhi else bhi
+            if s_lo <= s_hi:
+                out.append((s_lo - off, s_hi - off, off + boff))
+            k += 1
+    merged = []
+    for lo, hi, off in out:
+        if merged:
+            plo, phi, poff = merged[-1]
+            if poff == off and phi + 1 == lo:
+                merged[-1] = (plo, hi, poff)
+                continue
+        merged.append((lo, hi, off))
+    return merged

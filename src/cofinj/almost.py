@@ -14,22 +14,34 @@ offsets) is normalized to the window (0, 1).  With that, equality of maps is
 structural equality again.
 
 Monoid structure (compose/inverse) matches the monotone case pointwise, and
-the monotone elements embed via ``from_monotone`` / ``to_monotone``.
+the monotone elements embed via ``from_monotone`` / ``to_monotone``.  Both
+work on maximal translation pieces: the two tails and the runs of the sorted
+middle with one offset.  Composition sorts the left factor's pieces by image
+and merge-joins them with the right factor's pieces in the segment kernel
+that monotone ``*`` uses, so its cost grows with the pieces and the result's
+middle, not with the window width or the offsets.
+
+Outside data is validated once, where it enters: the constructor,
+:func:`make_almost` and :func:`parse_almost`.  Results built from pieces of
+elements that are already canonical (compositions, inverses, conversions)
+are canonical by construction and wrapped by
+:meth:`AlmostMonotoneElement._trusted` without a second check.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from typing import Iterable, Mapping, NamedTuple
+from typing import NamedTuple
 
+from . import _kernel
 from .core import (
     NEG_INF,
     POS_INF,
     IdempotentGaps,
     InvalidElementError,
     MonotoneElement,
-    normalize,
+    Segment,
 )
 
 
@@ -37,9 +49,6 @@ class AlmostMonotoneElement:
     __slots__ = ("left_end", "left_offset", "right_start", "right_offset", "middle")
 
     def __init__(self, left_end, left_offset, right_start, right_offset, middle):
-        for v in (left_end, left_offset, right_start, right_offset):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise InvalidElementError("tail data must be integers")
         mid = dict(middle)
         _check_window(left_end, left_offset, right_start, right_offset, mid)
         if mid.get(left_end + 1) == left_end + 1 + left_offset:
@@ -58,6 +67,17 @@ class AlmostMonotoneElement:
         object.__setattr__(self, "right_start", right_start)
         object.__setattr__(self, "right_offset", right_offset)
         object.__setattr__(self, "middle", mid)
+
+    @classmethod
+    def _trusted(cls, d, dl, u, ur, mid: dict) -> "AlmostMonotoneElement":
+        """Wrap fields that are canonical by construction, unchecked; mid is not copied."""
+        self = object.__new__(cls)
+        _set_left_end(self, d)
+        _set_left_offset(self, dl)
+        _set_right_start(self, u)
+        _set_right_offset(self, ur)
+        _set_middle(self, mid)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("AlmostMonotoneElement is immutable")
@@ -102,12 +122,31 @@ class AlmostMonotoneElement:
         )
 
     def _pieces(self) -> list:
-        """Domain-sorted (lo, hi, offset) translation pieces: the tails, each middle point alone."""
-        return (
-            [(NEG_INF, self.left_end, self.left_offset)]
-            + [(k, k, self.middle[k] - k) for k in sorted(self.middle)]
-            + [(self.right_start, POS_INF, self.right_offset)]
-        )
+        """Domain-sorted maximal (lo, hi, offset) translation pieces: the tails and the middle's runs.
+
+        A run is a stretch of consecutive middle keys with one offset.  The
+        minimal window keeps the tails apart from the runs; the two tails
+        join only in a total translation, which is one piece.  O(m log m) in
+        the middle size.
+        """
+        mid = self.middle
+        out = []
+        lo, hi, off = NEG_INF, self.left_end, self.left_offset
+        for k in sorted(mid):
+            o = mid[k] - k
+            if k == hi + 1 and o == off:
+                hi = k
+            else:
+                out.append((lo, hi, off))
+                lo = hi = k
+                off = o
+        u, ur = self.right_start, self.right_offset
+        if u == hi + 1 and ur == off:
+            out.append((lo, POS_INF, off))
+        else:
+            out.append((lo, hi, off))
+            out.append((u, POS_INF, ur))
+        return out
 
     def is_idempotent(self) -> bool:
         return (
@@ -166,6 +205,12 @@ class AlmostMonotoneElement:
         return self.to_text()
 
 
+# the slot setters, which skip the immutability guard in __setattr__
+_set_left_end, _set_left_offset, _set_right_start, _set_right_offset, _set_middle = (
+    AlmostMonotoneElement.__dict__[name].__set__ for name in AlmostMonotoneElement.__slots__
+)
+
+
 def _runs_between(lo, points, hi) -> list:
     """Maximal (lo, hi) runs of the integers strictly between lo and hi missing from sorted points."""
     out = []
@@ -178,6 +223,9 @@ def _runs_between(lo, points, hi) -> list:
 
 
 def _check_window(d, dl, u, ur, middle):
+    for v in (d, dl, u, ur):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise InvalidElementError("tail data must be integers")
     if d >= u:
         raise InvalidElementError("left end of the window must lie below the right start")
     if d + dl >= u + ur:
@@ -196,7 +244,11 @@ def _check_window(d, dl, u, ur, middle):
 
 
 def make_almost(left_end, left_offset, right_start, right_offset, middle) -> AlmostMonotoneElement:
-    """Validating constructor; shrinks the window to its canonical minimum."""
+    """Validating constructor; shrinks the window to its canonical minimum.
+
+    The checks and the shrinking are all that canonical form needs, so the
+    result is not validated a second time.
+    """
     d, dl, u, ur = left_end, left_offset, right_start, right_offset
     mid = dict(middle)
     _check_window(d, dl, u, ur, mid)
@@ -208,33 +260,62 @@ def make_almost(left_end, left_offset, right_start, right_offset, middle) -> Alm
         del mid[u]
     if not mid and dl == ur and u == d + 1:
         d, u = 0, 1
-    return AlmostMonotoneElement(d, dl, u, ur, mid)
+    return AlmostMonotoneElement._trusted(d, dl, u, ur, mid)
+
+
+def _from_pieces(pieces) -> AlmostMonotoneElement:
+    """The element made of domain-sorted (lo, hi, offset) pieces of an injective map.
+
+    The pieces must cover a cofinite domain with disjoint images, the first
+    one from -inf and the last one to +inf; they need not be maximal.  The
+    tails grow over adjacent pieces with their offset and every other piece
+    goes into the middle point by point, so the result is canonical.
+    """
+    last = len(pieces) - 1
+    _, d, dl = pieces[0]
+    i = 1
+    while i <= last:
+        lo, hi, off = pieces[i]
+        if lo != d + 1 or off != dl:
+            break
+        d = hi
+        i += 1
+    else:
+        return AlmostMonotoneElement._trusted(0, dl, 1, dl, {})
+    # pieces[i] stopped the left tail, so the right tail stops before reaching it
+    j = last
+    u, _, ur = pieces[j]
+    while True:
+        lo, hi, off = pieces[j - 1]
+        if hi != u - 1 or off != ur:
+            break
+        j -= 1
+        u = lo
+    mid = {}
+    for lo, hi, off in pieces[i:j]:
+        if lo == hi:
+            mid[lo] = lo + off
+        else:
+            for x in range(lo, hi + 1):
+                mid[x] = x + off
+    return AlmostMonotoneElement._trusted(d, dl, u, ur, mid)
 
 
 def from_monotone(elem: MonotoneElement) -> AlmostMonotoneElement:
-    segs = elem.segments
-    if len(segs) == 1:
-        k = segs[0].offset
-        return AlmostMonotoneElement(0, k, 1, k, {})
-    d, dl = segs[0].hi, segs[0].offset
-    u, ur = segs[-1].lo, segs[-1].offset
-    mid = {}
-    for x in range(d + 1, u):
-        y = elem(x)
-        if y is not None:
-            mid[x] = y
-    return make_almost(d, dl, u, ur, mid)
+    """The same map in almost-monotone form, read off the segments."""
+    return _from_pieces(elem.segments)
+
+
+def _segment_form(elem: AlmostMonotoneElement) -> MonotoneElement:
+    # maximal pieces with increasing images are exactly the canonical segments
+    return MonotoneElement._trusted(tuple(map(Segment._make, elem._pieces())))
 
 
 def to_monotone(elem: AlmostMonotoneElement) -> MonotoneElement:
     """Convert back to segment form; fails when the map is not monotone."""
     if not elem.is_monotone():
         raise InvalidElementError("element is not monotone")
-    raw = [(NEG_INF, elem.left_end, elem.left_offset)]
-    for k in sorted(elem.middle):
-        raw.append((k, k, elem.middle[k] - k))
-    raw.append((elem.right_start, POS_INF, elem.right_offset))
-    return normalize(raw)
+    return _segment_form(elem)
 
 
 def as_almost(elem) -> AlmostMonotoneElement:
@@ -246,7 +327,7 @@ def as_almost(elem) -> AlmostMonotoneElement:
 def canonicalize(elem):
     """Cross-representation normal form: segment form whenever the map is monotone."""
     if isinstance(elem, AlmostMonotoneElement) and elem.is_monotone():
-        return to_monotone(elem)
+        return _segment_form(elem)
     return elem
 
 
@@ -254,33 +335,33 @@ def almost_identity() -> AlmostMonotoneElement:
     return AlmostMonotoneElement(0, 0, 1, 0, {})
 
 
+def _image_lo(piece):
+    return piece[0] + piece[2]
+
+
 def compose_almost(a, b) -> AlmostMonotoneElement:
-    """a then b, pointwise identical to the monotone composition."""
-    a = as_almost(a)
-    b = as_almost(b)
-    d = min(a.left_end, b.left_end - a.left_offset)
-    u = max(a.right_start, b.right_start - a.right_offset)
-    mid = {}
-    for x in range(d + 1, u):
-        y = a(x)
-        if y is None:
-            continue
-        z = b(y)
-        if z is not None:
-            mid[x] = z
-    return make_almost(
-        d, a.left_offset + b.left_offset, u, a.right_offset + b.right_offset, mid
-    )
+    """a then b, pointwise identical to the monotone composition; either may be monotone.
+
+    a's pieces, sorted by image, go through the segment kernel against b's
+    pieces; the kernel's output, sorted back by domain, is the result.
+    """
+    pa = a._pieces()
+    if isinstance(a, AlmostMonotoneElement):
+        pa.sort(key=_image_lo)
+    out = _kernel.compose_segments(pa, b._pieces())
+    out.sort()
+    return _from_pieces(out)
 
 
 def inverse_almost(a) -> AlmostMonotoneElement:
-    a = as_almost(a)
-    return make_almost(
-        a.left_end + a.left_offset,
-        -a.left_offset,
-        a.right_start + a.right_offset,
-        -a.right_offset,
-        {v: k for k, v in a.middle.items()},
+    if isinstance(a, MonotoneElement):
+        return _from_pieces(a.inverse().segments)
+    d, dl, u, ur = a.left_end, a.left_offset, a.right_start, a.right_offset
+    if u == d + 1 and dl == ur:
+        return AlmostMonotoneElement._trusted(0, -dl, 1, -dl, {})
+    # a middle point next to a tail that continued it would break a's own minimality
+    return AlmostMonotoneElement._trusted(
+        d + dl, -dl, u + ur, -ur, {v: k for k, v in a.middle.items()}
     )
 
 
@@ -360,7 +441,8 @@ class UnitDecomposition(NamedTuple):
 def unit_decompose(elem) -> UnitDecomposition:
     """Split a unit (total bijective element) into its permutation and shift parts."""
     a = as_almost(elem)
-    total = all(x in a.middle for x in range(a.left_end + 1, a.right_start))
+    # middle keys lie in the open window, so the window is full when the counts agree
+    total = len(a.middle) == a.right_start - a.left_end - 1
     if not total or a.left_offset != a.right_offset:
         raise InvalidElementError("element is not a unit")
     k = a.left_offset

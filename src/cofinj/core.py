@@ -196,7 +196,7 @@ class MonotoneElement:
         ]
 
     def _pieces(self) -> tuple:
-        """Domain-sorted (lo, hi, offset) translation pieces covering the domain."""
+        """Domain-sorted maximal (lo, hi, offset) translation pieces: the segments themselves."""
         return self.segments
 
     # -- equality and text ----------------------------------------------------

@@ -162,20 +162,13 @@ def _solve_right_almost(a, b):
 
 
 def _extend_almost(base, extra: dict):
-    """base with finitely many extra point assignments grafted into its middle."""
+    """base with finitely many extra point assignments grafted into its middle.
+
+    The extra points lie outside dom(base) and their values outside its range.
+    """
     if not extra:
         return base
-    d, dl = base.left_end, base.left_offset
-    u, ur = base.right_start, base.right_offset
-    d = min([d] + [x - 1 for x in extra] + [v - dl - 1 for v in extra.values()])
-    u = max([u] + [x + 1 for x in extra] + [v - ur + 1 for v in extra.values()])
-    mid = {}
-    for x in range(d + 1, u):
-        y = base(x)
-        if y is not None:
-            mid[x] = y
-    mid.update(extra)
-    return _almost.make_almost(d, dl, u, ur, mid)
+    return _almost._from_pieces(sorted(base._pieces() + [(x, x, v - x) for x, v in extra.items()]))
 
 
 def solve_left(a, b, within: str | None = None):

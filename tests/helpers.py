@@ -6,7 +6,8 @@ enumeration, never through the segment arithmetic under test.
 
 from itertools import combinations
 
-from cofinj.core import NEG_INF, POS_INF, MonotoneElement, element_from_gaps
+from cofinj.almost import AlmostMonotoneElement, make_almost
+from cofinj.core import NEG_INF, POS_INF, InvalidElementError, MonotoneElement, element_from_gaps, normalize
 
 
 def finite_bound(elem) -> int:
@@ -226,3 +227,84 @@ def ref_separate(a, b):
 
 def expand_runs(runs) -> frozenset:
     return frozenset(x for lo, hi in runs for x in range(lo, hi + 1))
+
+
+# -- window-walk references for the almost-monotone piece arithmetic -------------------
+#
+# compose_almost, from_monotone, to_monotone, inverse_almost and the solver's
+# _extend_almost build their results from translation pieces.  These are the
+# versions that walk the window point by point and build through the
+# validating make_almost / normalize; their cost grows with the window width
+# and the offsets, so keep the inputs narrow.
+
+
+def _ref_as_almost(elem):
+    return ref_from_monotone(elem) if isinstance(elem, MonotoneElement) else elem
+
+
+def ref_from_monotone(elem):
+    segs = elem.segments
+    if len(segs) == 1:
+        k = segs[0].offset
+        return AlmostMonotoneElement(0, k, 1, k, {})
+    d, dl = segs[0].hi, segs[0].offset
+    u, ur = segs[-1].lo, segs[-1].offset
+    mid = {}
+    for x in range(d + 1, u):
+        y = elem(x)
+        if y is not None:
+            mid[x] = y
+    return make_almost(d, dl, u, ur, mid)
+
+
+def ref_to_monotone(elem):
+    if not elem.is_monotone():
+        raise InvalidElementError("element is not monotone")
+    raw = [(NEG_INF, elem.left_end, elem.left_offset)]
+    for k in sorted(elem.middle):
+        raw.append((k, k, elem.middle[k] - k))
+    raw.append((elem.right_start, POS_INF, elem.right_offset))
+    return normalize(raw)
+
+
+def ref_compose_almost(a, b):
+    a = _ref_as_almost(a)
+    b = _ref_as_almost(b)
+    d = min(a.left_end, b.left_end - a.left_offset)
+    u = max(a.right_start, b.right_start - a.right_offset)
+    mid = {}
+    for x in range(d + 1, u):
+        y = a(x)
+        if y is None:
+            continue
+        z = b(y)
+        if z is not None:
+            mid[x] = z
+    return make_almost(d, a.left_offset + b.left_offset, u, a.right_offset + b.right_offset, mid)
+
+
+def ref_inverse_almost(a):
+    a = _ref_as_almost(a)
+    return make_almost(
+        a.left_end + a.left_offset,
+        -a.left_offset,
+        a.right_start + a.right_offset,
+        -a.right_offset,
+        {v: k for k, v in a.middle.items()},
+    )
+
+
+def ref_extend_almost(base, extra: dict):
+    if not extra:
+        return base
+    d, dl = base.left_end, base.left_offset
+    u, ur = base.right_start, base.right_offset
+    d = min([d] + [x - 1 for x in extra] + [v - dl - 1 for v in extra.values()])
+    u = max([u] + [x + 1 for x in extra] + [v - ur + 1 for v in extra.values()])
+    mid = {}
+    for x in range(d + 1, u):
+        y = base(x)
+        if y is not None:
+            mid[x] = y
+    mid.update(extra)
+    return make_almost(d, dl, u, ur, mid)
