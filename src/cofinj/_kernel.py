@@ -3,6 +3,7 @@
 Segments are (lo, hi, offset) triples with float infinities allowed at the
 outer ends.  Monotone ``*`` passes two canonical segment lists; almost-monotone
 composition passes the left factor's translation pieces sorted by image.
+:func:`merge_pieces` is the one merge loop for all code that builds pieces.
 All arithmetic is on Python ints, so it is exact at any width.
 """
 
@@ -36,8 +37,17 @@ def compose_segments(a, b):
             if s_lo <= s_hi:
                 out.append((s_lo - off, s_hi - off, off + boff))
             k += 1
+    return merge_pieces(out)
+
+
+def merge_pieces(pieces):
+    """The pieces with each run of neighbours that touch and share an offset merged into one.
+
+    All code that builds translation pieces ends here: the composite above, an
+    almost-monotone window and a map extended by finitely many points.
+    """
     merged = []
-    for lo, hi, off in out:
+    for lo, hi, off in pieces:
         if merged:
             plo, phi, poff = merged[-1]
             if poff == off and phi + 1 == lo:

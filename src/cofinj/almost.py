@@ -2,24 +2,27 @@
 
 These are the maps that become monotone after deleting finitely many domain
 points.  Outside a finite window such a map is still a translation on each
-side, so an element is stored as the two tail translations plus an arbitrary
-finite injective patch in between: ``x -> x + left_offset`` for
+side, and inside it is a finite injective patch, so like a monotone element
+it is a translation on finitely many pieces.  An element is stored exactly as
+a monotone one is: the tuple of its domain-sorted maximal ``(lo, hi,
+offset)`` translation pieces, the first from -inf and the last to +inf, only
+without the requirement that the piece images increase.  The map is
+monotone exactly when they do.  Maximal pieces are a normal form, so
+equality of maps is equality of piece tuples.
+
+The window view is derived from the pieces: ``x -> x + left_offset`` for
 ``x <= left_end``, ``x -> x + right_offset`` for ``x >= right_start``, and a
 finite dict ``middle`` on the open window in between (keys absent from the
-dict are domain gaps).
-
-Canonical form: the window is minimal, i.e. neither end point of the window
-can be absorbed into its tail; a total translation (empty middle, equal
-offsets) is normalized to the window (0, 1).  With that, equality of maps is
-structural equality again.
+dict are domain gaps).  The window is minimal, i.e. neither end point can be
+absorbed into its tail, and a total translation (a single piece) reports the
+window (0, 1).
 
 Monoid structure (compose/inverse) matches the monotone case pointwise, and
-the monotone elements embed via ``from_monotone`` / ``to_monotone``.  Both
-work on maximal translation pieces: the two tails and the runs of the sorted
-middle with one offset.  Composition sorts the left factor's pieces by image
-and merge-joins them with the right factor's pieces in the segment kernel
-that monotone ``*`` uses, so its cost grows with the pieces and the result's
-middle, not with the window width or the offsets.
+the monotone elements embed via ``from_monotone`` / ``to_monotone``, which
+pass the piece tuple across.  Composition sorts the left factor's pieces by
+image and merge-joins them with the right factor's pieces in the segment
+kernel that monotone ``*`` uses, so its cost is O(p log p) in the pieces,
+independent of the window width and the offsets.
 
 Outside data is validated once, where it enters: the constructor,
 :func:`make_almost` and :func:`parse_almost`.  Results built from pieces of
@@ -42,15 +45,23 @@ from .core import (
     InvalidElementError,
     MonotoneElement,
     Segment,
+    _inverted,
+    _PieceMap,
 )
 
 
-class AlmostMonotoneElement:
-    __slots__ = ("left_end", "left_offset", "right_start", "right_offset", "middle")
+class AlmostMonotoneElement(_PieceMap):
+    """An almost-monotone element, stored as ``pieces``, the tuple of its maximal translation pieces.
+
+    Build one with :func:`make_almost` or :func:`parse_almost`; this
+    constructor takes the same window data but also requires the window to
+    be minimal.
+    """
+
+    __slots__ = ("pieces",)
 
     def __init__(self, left_end, left_offset, right_start, right_offset, middle):
-        mid = dict(middle)
-        _check_window(left_end, left_offset, right_start, right_offset, mid)
+        mid = _checked_middle(left_end, left_offset, right_start, right_offset, middle)
         if mid.get(left_end + 1) == left_end + 1 + left_offset:
             raise InvalidElementError("window not minimal: left tail extends")
         if mid.get(right_start - 1) == right_start - 1 + right_offset:
@@ -62,102 +73,43 @@ class AlmostMonotoneElement:
             and (left_end, right_start) != (0, 1)
         ):
             raise InvalidElementError("a total translation must use the window (0, 1)")
-        object.__setattr__(self, "left_end", left_end)
-        object.__setattr__(self, "left_offset", left_offset)
-        object.__setattr__(self, "right_start", right_start)
-        object.__setattr__(self, "right_offset", right_offset)
-        object.__setattr__(self, "middle", mid)
+        object.__setattr__(
+            self, "pieces", _window_pieces(left_end, left_offset, right_start, right_offset, mid)
+        )
 
     @classmethod
-    def _trusted(cls, d, dl, u, ur, mid: dict) -> "AlmostMonotoneElement":
-        """Wrap fields that are canonical by construction, unchecked; mid is not copied."""
+    def _trusted(cls, pieces) -> "AlmostMonotoneElement":
+        """Wrap domain-sorted maximal pieces of an injective map, unchecked."""
         self = object.__new__(cls)
-        _set_left_end(self, d)
-        _set_left_offset(self, dl)
-        _set_right_start(self, u)
-        _set_right_offset(self, ur)
-        _set_middle(self, mid)
+        object.__setattr__(self, "pieces", tuple(pieces))
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AlmostMonotoneElement is immutable")
+    def _pieces(self) -> tuple:
+        """Domain-sorted maximal (lo, hi, offset) translation pieces, as stored."""
+        return self.pieces
 
-    # -- pointwise semantics ------------------------------------------------
+    # the benchmark's tracer looks these up in each element class's own namespace
+    dom_gaps = _PieceMap.dom_gaps
+    ran_gaps = _PieceMap.ran_gaps
 
-    def __call__(self, x: int) -> int | None:
-        if x <= self.left_end:
-            return x + self.left_offset
-        if x >= self.right_start:
-            return x + self.right_offset
-        return self.middle.get(x)
+    # -- the window view ------------------------------------------------------
 
-    def __contains__(self, x: int) -> bool:
-        return self(x) is not None
+    @property
+    def left_end(self) -> int:
+        return self.pieces[0][1] if len(self.pieces) > 1 else 0
 
-    # -- gap and tail data ----------------------------------------------------
+    @property
+    def right_start(self) -> int:
+        return self.pieces[-1][0] if len(self.pieces) > 1 else 1
 
-    def dom_gaps(self) -> frozenset:
-        """Every integer outside the domain; its size grows with the window width."""
-        return frozenset(
-            x for x in range(self.left_end + 1, self.right_start) if x not in self.middle
-        )
-
-    def ran_gaps(self) -> frozenset:
-        """Every integer outside the range; its size grows with the window width."""
-        taken = set(self.middle.values())
-        lo = self.left_end + self.left_offset
-        hi = self.right_start + self.right_offset
-        return frozenset(y for y in range(lo + 1, hi) if y not in taken)
-
-    def _dom_runs(self) -> list:
-        """The domain gaps as sorted maximal (lo, hi) runs, from the window and the sorted middle keys."""
-        return _runs_between(self.left_end, sorted(self.middle), self.right_start)
-
-    def _ran_runs(self) -> list:
-        """The range gaps as sorted maximal (lo, hi) runs, from the tail images and the sorted middle values."""
-        return _runs_between(
-            self.left_end + self.left_offset,
-            sorted(self.middle.values()),
-            self.right_start + self.right_offset,
-        )
-
-    def _pieces(self) -> list:
-        """Domain-sorted maximal (lo, hi, offset) translation pieces: the tails and the middle's runs.
-
-        A run is a stretch of consecutive middle keys with one offset.  The
-        minimal window keeps the tails apart from the runs; the two tails
-        join only in a total translation, which is one piece.  O(m log m) in
-        the middle size.
-        """
-        mid = self.middle
-        out = []
-        lo, hi, off = NEG_INF, self.left_end, self.left_offset
-        for k in sorted(mid):
-            o = mid[k] - k
-            if k == hi + 1 and o == off:
-                hi = k
-            else:
-                out.append((lo, hi, off))
-                lo = hi = k
-                off = o
-        u, ur = self.right_start, self.right_offset
-        if u == hi + 1 and ur == off:
-            out.append((lo, POS_INF, off))
-        else:
-            out.append((lo, hi, off))
-            out.append((u, POS_INF, ur))
-        return out
-
-    def is_idempotent(self) -> bool:
-        return (
-            self.left_offset == 0
-            and self.right_offset == 0
-            and all(v == k for k, v in self.middle.items())
-        )
+    @property
+    def middle(self) -> dict:
+        """The map on the open window as a new dict, keys in increasing order."""
+        return {x: x + off for lo, hi, off in self.pieces[1:-1] for x in range(lo, hi + 1)}
 
     def is_monotone(self) -> bool:
-        vals = [self.middle[k] for k in sorted(self.middle)]
-        return all(a < b for a, b in zip(vals, vals[1:]))
+        p = self.pieces
+        return all(s[1] + s[2] < t[0] + t[2] for s, t in zip(p, p[1:]))
 
     # -- monoid structure ---------------------------------------------------
 
@@ -174,55 +126,49 @@ class AlmostMonotoneElement:
     def inverse(self) -> "AlmostMonotoneElement":
         return inverse_almost(self)
 
-    def __invert__(self):
-        return self.inverse()
-
     # -- equality and text ----------------------------------------------------
 
     def _key(self):
-        return (
-            self.left_end,
-            self.left_offset,
-            self.right_start,
-            self.right_offset,
-            tuple(sorted(self.middle.items())),
-        )
+        return self.pieces
 
     def __eq__(self, other):
         if isinstance(other, AlmostMonotoneElement):
-            return self._key() == other._key()
+            return self.pieces == other.pieces
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self.pieces)
 
     def to_text(self) -> str:
-        pairs = ", ".join(f"{k}->{v}" for k, v in sorted(self.middle.items()))
+        pairs = ", ".join(f"{k}->{v}" for k, v in self.middle.items())
         body = f"d={self.left_end},L={self.left_offset},u={self.right_start},R={self.right_offset}"
         return f"am[{body}; {pairs}]" if pairs else f"am[{body};]"
 
-    def __repr__(self):
-        return self.to_text()
+
+def _middle_dict(middle) -> dict:
+    """The middle as a dict, from a mapping or from (point, value) pairs listing each point once."""
+    if hasattr(middle, "keys"):
+        return dict(middle)
+    try:
+        pairs = iter(middle)
+    except TypeError:
+        raise InvalidElementError("middle must be a mapping or (point, value) pairs") from None
+    mid = {}
+    for pair in pairs:
+        try:
+            k, v = pair
+            repeated = k in mid
+        except (TypeError, ValueError):
+            raise InvalidElementError("middle entries must be integer pairs") from None
+        if repeated:
+            raise InvalidElementError(f"middle point {k} listed twice")
+        mid[k] = v
+    return mid
 
 
-# the slot setters, which skip the immutability guard in __setattr__
-_set_left_end, _set_left_offset, _set_right_start, _set_right_offset, _set_middle = (
-    AlmostMonotoneElement.__dict__[name].__set__ for name in AlmostMonotoneElement.__slots__
-)
-
-
-def _runs_between(lo, points, hi) -> list:
-    """Maximal (lo, hi) runs of the integers strictly between lo and hi missing from sorted points."""
-    out = []
-    prev = lo
-    for p in points + [hi]:
-        if prev + 1 < p:
-            out.append((prev + 1, p - 1))
-        prev = p
-    return out
-
-
-def _check_window(d, dl, u, ur, middle):
+def _checked_middle(d, dl, u, ur, middle) -> dict:
+    """The validated middle of a window with tails x -> x + dl up to d and x -> x + ur from u."""
+    mid = _middle_dict(middle)
     for v in (d, dl, u, ur):
         if not isinstance(v, int) or isinstance(v, bool):
             raise InvalidElementError("tail data must be integers")
@@ -231,7 +177,7 @@ def _check_window(d, dl, u, ur, middle):
     if d + dl >= u + ur:
         raise InvalidElementError("tail images collide: left image must end below the right image")
     seen = set()
-    for k, v in middle.items():
+    for k, v in mid.items():
         if not isinstance(k, int) or isinstance(k, bool) or not isinstance(v, int) or isinstance(v, bool):
             raise InvalidElementError("middle entries must be integer pairs")
         if not d < k < u:
@@ -241,81 +187,41 @@ def _check_window(d, dl, u, ur, middle):
         if v in seen:
             raise InvalidElementError(f"middle is not injective: value {v} repeated")
         seen.add(v)
+    return mid
+
+
+def _window_pieces(d, dl, u, ur, mid) -> tuple:
+    """Maximal pieces of a validated window: the tails and the middle points, merged."""
+    raw = [(NEG_INF, d, dl)]
+    raw += [(k, k, v - k) for k, v in sorted(mid.items())]
+    raw.append((u, POS_INF, ur))
+    return tuple(_kernel.merge_pieces(raw))
 
 
 def make_almost(left_end, left_offset, right_start, right_offset, middle) -> AlmostMonotoneElement:
-    """Validating constructor; shrinks the window to its canonical minimum.
+    """Validating constructor; the window need not be minimal.
 
-    The checks and the shrinking are all that canonical form needs, so the
-    result is not validated a second time.
+    ``middle`` is a mapping or an iterable of (point, value) pairs.  Merging
+    the pieces absorbs middle points that continue a tail, so the result is
+    canonical without a second check.
     """
-    d, dl, u, ur = left_end, left_offset, right_start, right_offset
-    mid = dict(middle)
-    _check_window(d, dl, u, ur, mid)
-    while d + 1 < u and mid.get(d + 1) == d + 1 + dl:
-        d += 1
-        del mid[d]
-    while u - 1 > d and mid.get(u - 1) == u - 1 + ur:
-        u -= 1
-        del mid[u]
-    if not mid and dl == ur and u == d + 1:
-        d, u = 0, 1
-    return AlmostMonotoneElement._trusted(d, dl, u, ur, mid)
-
-
-def _from_pieces(pieces) -> AlmostMonotoneElement:
-    """The element made of domain-sorted (lo, hi, offset) pieces of an injective map.
-
-    The pieces must cover a cofinite domain with disjoint images, the first
-    one from -inf and the last one to +inf; they need not be maximal.  The
-    tails grow over adjacent pieces with their offset and every other piece
-    goes into the middle point by point, so the result is canonical.
-    """
-    last = len(pieces) - 1
-    _, d, dl = pieces[0]
-    i = 1
-    while i <= last:
-        lo, hi, off = pieces[i]
-        if lo != d + 1 or off != dl:
-            break
-        d = hi
-        i += 1
-    else:
-        return AlmostMonotoneElement._trusted(0, dl, 1, dl, {})
-    # pieces[i] stopped the left tail, so the right tail stops before reaching it
-    j = last
-    u, _, ur = pieces[j]
-    while True:
-        lo, hi, off = pieces[j - 1]
-        if hi != u - 1 or off != ur:
-            break
-        j -= 1
-        u = lo
-    mid = {}
-    for lo, hi, off in pieces[i:j]:
-        if lo == hi:
-            mid[lo] = lo + off
-        else:
-            for x in range(lo, hi + 1):
-                mid[x] = x + off
-    return AlmostMonotoneElement._trusted(d, dl, u, ur, mid)
+    mid = _checked_middle(left_end, left_offset, right_start, right_offset, middle)
+    return AlmostMonotoneElement._trusted(
+        _window_pieces(left_end, left_offset, right_start, right_offset, mid)
+    )
 
 
 def from_monotone(elem: MonotoneElement) -> AlmostMonotoneElement:
-    """The same map in almost-monotone form, read off the segments."""
-    return _from_pieces(elem.segments)
-
-
-def _segment_form(elem: AlmostMonotoneElement) -> MonotoneElement:
-    # maximal pieces with increasing images are exactly the canonical segments
-    return MonotoneElement._trusted(tuple(map(Segment._make, elem._pieces())))
+    """The same map in almost-monotone form: the segments are its pieces."""
+    return AlmostMonotoneElement._trusted(elem.segments)
 
 
 def to_monotone(elem: AlmostMonotoneElement) -> MonotoneElement:
     """Convert back to segment form; fails when the map is not monotone."""
     if not elem.is_monotone():
         raise InvalidElementError("element is not monotone")
-    return _segment_form(elem)
+    # maximal pieces with increasing images are exactly the canonical segments
+    return MonotoneElement._trusted(tuple(map(Segment._make, elem.pieces)))
 
 
 def as_almost(elem) -> AlmostMonotoneElement:
@@ -327,7 +233,7 @@ def as_almost(elem) -> AlmostMonotoneElement:
 def canonicalize(elem):
     """Cross-representation normal form: segment form whenever the map is monotone."""
     if isinstance(elem, AlmostMonotoneElement) and elem.is_monotone():
-        return _segment_form(elem)
+        return to_monotone(elem)
     return elem
 
 
@@ -343,26 +249,17 @@ def compose_almost(a, b) -> AlmostMonotoneElement:
     """a then b, pointwise identical to the monotone composition; either may be monotone.
 
     a's pieces, sorted by image, go through the segment kernel against b's
-    pieces; the kernel's output, sorted back by domain, is the result.
+    pieces; the kernel's output, sorted back by domain and merged, is the
+    result.
     """
-    pa = a._pieces()
-    if isinstance(a, AlmostMonotoneElement):
-        pa.sort(key=_image_lo)
-    out = _kernel.compose_segments(pa, b._pieces())
+    out = _kernel.compose_segments(sorted(a._pieces(), key=_image_lo), b._pieces())
     out.sort()
-    return _from_pieces(out)
+    return AlmostMonotoneElement._trusted(_kernel.merge_pieces(out))
 
 
 def inverse_almost(a) -> AlmostMonotoneElement:
-    if isinstance(a, MonotoneElement):
-        return _from_pieces(a.inverse().segments)
-    d, dl, u, ur = a.left_end, a.left_offset, a.right_start, a.right_offset
-    if u == d + 1 and dl == ur:
-        return AlmostMonotoneElement._trusted(0, -dl, 1, -dl, {})
-    # a middle point next to a tail that continued it would break a's own minimality
-    return AlmostMonotoneElement._trusted(
-        d + dl, -dl, u + ur, -ur, {v: k for k, v in a.middle.items()}
-    )
+    # a's pieces turned around are maximal too: merging two of them would merge two of a's
+    return AlmostMonotoneElement._trusted(sorted(_inverted(a._pieces())))
 
 
 # -- minimal exception sets ------------------------------------------------------
@@ -395,8 +292,9 @@ def minimal_exceptions(elem) -> frozenset:
     """
     if isinstance(elem, MonotoneElement):
         return frozenset()
-    keys = sorted(elem.middle)
-    vals = [elem.middle[k] for k in keys]
+    mid = elem.middle
+    keys = list(mid)
+    vals = list(mid.values())
     n = len(vals)
     budget = n - _lis_above(vals, 0, NEG_INF)
     removed = []
@@ -441,13 +339,12 @@ class UnitDecomposition(NamedTuple):
 def unit_decompose(elem) -> UnitDecomposition:
     """Split a unit (total bijective element) into its permutation and shift parts."""
     a = as_almost(elem)
-    # middle keys lie in the open window, so the window is full when the counts agree
-    total = len(a.middle) == a.right_start - a.left_end - 1
-    if not total or a.left_offset != a.right_offset:
-        raise InvalidElementError("element is not a unit")
     k = a.left_offset
+    if a._dom_runs() or a.right_offset != k:
+        raise InvalidElementError("element is not a unit")
+    # the tails move by k, so the support lies in the pieces with another offset
     support = tuple(
-        sorted((x, v - k) for x, v in a.middle.items() if v - k != x)
+        (x, x + off - k) for lo, hi, off in a.pieces if off != k for x in range(lo, hi + 1)
     )
     return UnitDecomposition(support, k)
 
@@ -516,14 +413,13 @@ def parse_almost(text: str) -> AlmostMonotoneElement:
         raise InvalidElementError(f"not an almost-monotone literal: {text!r}")
     d, dl, u, ur = (int(m.group(i)) for i in range(1, 5))
     body = m.group(5).strip()
-    mid = {}
-    if body:
-        for part in body.split(","):
-            pm = _PAIR_RE.match(part.strip())
-            if not pm:
-                raise InvalidElementError(f"malformed middle entry: {part.strip()!r}")
-            k, v = int(pm.group(1)), int(pm.group(2))
-            if k in mid:
-                raise InvalidElementError(f"middle point {k} listed twice")
-            mid[k] = v
-    return make_almost(d, dl, u, ur, mid)
+    # lazily, so a malformed entry and a repeated point are reported in text order
+    pairs = (_parse_pair(part.strip()) for part in body.split(",")) if body else ()
+    return make_almost(d, dl, u, ur, pairs)
+
+
+def _parse_pair(text: str) -> tuple:
+    pm = _PAIR_RE.match(text)
+    if not pm:
+        raise InvalidElementError(f"malformed middle entry: {text!r}")
+    return int(pm.group(1)), int(pm.group(2))

@@ -45,7 +45,7 @@ def _json_value(v):
             "L": v.left_offset,
             "u": v.right_start,
             "R": v.right_offset,
-            "middle": [[k, v.middle[k]] for k in sorted(v.middle)],
+            "middle": [[k, y] for k, y in v.middle.items()],
         }
     if isinstance(v, _topology.BasicNeighborhood):
         return {

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import InvalidElementError, MonotoneElement, element_from_gaps, shift
+from .core import IdempotentGaps, InvalidElementError, MonotoneElement, element_from_gaps, shift
 from .almost import AlmostMonotoneElement
 
 
@@ -31,11 +31,9 @@ class Signature(NamedTuple):
 
 def mgc_signature(elem) -> Signature:
     """The quotient homomorphism: both tail offsets, added componentwise under composition."""
-    if isinstance(elem, MonotoneElement):
-        return Signature(elem.left_offset, elem.right_offset)
-    if isinstance(elem, AlmostMonotoneElement):
-        return Signature(elem.left_offset, elem.right_offset)
-    raise TypeError(f"not an element: {elem!r}")
+    if not isinstance(elem, (MonotoneElement, AlmostMonotoneElement)):
+        raise TypeError(f"not an element: {elem!r}")
+    return Signature(elem.left_offset, elem.right_offset)
 
 
 def mgc_equiv(a, b) -> bool:
@@ -74,33 +72,17 @@ def witness_idempotent(a, b) -> "MonotoneElement":
 
     Collapses everything either map does on the shared middle window; its
     existence is the congruence criterion for the minimal group congruence.
+    A map's window runs from the end of its first piece to the start of its
+    last one, (0, 1) for a single piece; the gaps are the images of each
+    map's pieces clipped to the open window.
     """
-    from .core import IdempotentGaps
-
     if not mgc_equiv(a, b):
         raise InvalidElementError("elements are not congruent")
-    lo = min(_window_lo(a), _window_lo(b))
-    hi = max(_window_hi(a), _window_hi(b))
+    ps = (a._pieces(), b._pieces())
+    lo = min(p[0][1] if len(p) > 1 else 0 for p in ps) + 1
+    hi = max(p[-1][0] if len(p) > 1 else 1 for p in ps) - 1
     gaps = set()
-    for x in range(lo + 1, hi):
-        for f in (a, b):
-            y = f(x)
-            if y is not None:
-                gaps.add(y)
+    for p in ps:
+        for plo, phi, off in p:
+            gaps.update(range(max(plo, lo) + off, min(phi, hi) + off + 1))
     return IdempotentGaps(gaps).to_element()
-
-
-def _window_lo(elem) -> int:
-    if isinstance(elem, MonotoneElement):
-        if len(elem.segments) == 1:
-            return 0
-        return elem.segments[0].hi
-    return elem.left_end
-
-
-def _window_hi(elem) -> int:
-    if isinstance(elem, MonotoneElement):
-        if len(elem.segments) == 1:
-            return 1
-        return elem.segments[-1].lo
-    return elem.right_start

@@ -4,11 +4,17 @@ The elements handled here are the partial maps Z -> Z that are injective,
 strictly order preserving on their domain, and total outside a finite set,
 with cofinite image.  Such a map eventually acts as a pure translation on
 each side, so it decomposes into finitely many translation pieces.  We store
-the maximal such decomposition as an ordered list of segments
+the maximal such decomposition as an ordered tuple of segments
 ``(lo, hi, offset)`` meaning ``x -> x + offset`` for ``lo <= x <= hi``; the
 first segment starts at ``-inf`` and the last ends at ``+inf``.  Maximality
-makes the segment list a normal form, so equality of maps is structural
-equality of segment lists.
+makes the segment tuple a normal form, so equality of maps is structural
+equality of segment tuples.
+
+The almost-monotone elements (:mod:`cofinj.almost`) use the same normal
+form, domain-sorted maximal pieces, only without increasing images.  What
+depends on the pieces alone (evaluation, gap runs and gap sets, the
+idempotent test, inversion, grafting points) lives here, in
+:class:`_PieceMap` and the helpers next to it, and serves both classes.
 
 Composition is written in diagram order: ``(x)(a * b) == ((x)a)b``, i.e. the
 left factor acts first.  All arithmetic is exact; bounds are Python ints
@@ -26,6 +32,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from . import _kernel
@@ -88,22 +96,107 @@ def _check_canonical(segs):
             raise InvalidElementError("adjacent segments with equal offset must be merged")
 
 
-class MonotoneElement:
+class _PieceMap:
+    """What both element classes read off their translation pieces alone.
+
+    A subclass stores the domain-sorted maximal (lo, hi, offset) pieces of
+    its map and returns them from ``_pieces()``: ``x -> x + offset`` for
+    ``lo <= x <= hi``, the first piece from -inf and the last to +inf.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    # -- pointwise semantics ------------------------------------------------
+
+    def __call__(self, x: int) -> int | None:
+        """Value at x, or None when x is outside the domain."""
+        pieces = self._pieces()
+        lo, hi, offset = pieces[bisect_right(pieces, x, key=_lo) - 1]
+        if x <= hi:
+            return x + offset
+        return None
+
+    def __contains__(self, x: int) -> bool:
+        return self(x) is not None
+
+    def is_idempotent(self) -> bool:
+        return all(o == 0 for _, _, o in self._pieces())
+
+    def __invert__(self):
+        return self.inverse()
+
+    # -- tail and gap data ----------------------------------------------------
+
+    @property
+    def left_offset(self) -> int:
+        return self._pieces()[0][2]
+
+    @property
+    def right_offset(self) -> int:
+        return self._pieces()[-1][2]
+
+    def _dom_runs(self) -> list:
+        """The domain gaps as sorted maximal (lo, hi) runs, read off neighbouring pieces."""
+        return _gaps_between(self._pieces())
+
+    def _ran_runs(self) -> list:
+        """The range gaps as sorted maximal (lo, hi) runs, read off the piece images."""
+        return _gaps_between(sorted([(lo + o, hi + o) for lo, hi, o in self._pieces()]))
+
+    def dom_gaps(self) -> frozenset:
+        """Every integer outside the domain; its size grows with the gap widths."""
+        return _run_points(self._dom_runs())
+
+    def ran_gaps(self) -> frozenset:
+        """Every integer outside the range; its size grows with the gap widths."""
+        return _run_points(self._ran_runs())
+
+    def __repr__(self):
+        return self.to_text()
+
+
+_lo = itemgetter(0)
+
+
+def _gaps_between(intervals) -> list:
+    """The maximal (lo, hi) runs of integers between consecutive sorted disjoint intervals."""
+    return [(s[1] + 1, t[0] - 1) for s, t in zip(intervals, intervals[1:]) if s[1] + 1 < t[0]]
+
+
+def _run_points(runs) -> frozenset:
+    return frozenset(chain.from_iterable([range(lo, hi + 1) for lo, hi in runs]))
+
+
+def _inverted(pieces):
+    """The inverse map's pieces, in the order of the images of ``pieces``."""
+    return [(lo + o, hi + o, -o) for lo, hi, o in pieces]
+
+
+def _graft(pieces, points) -> list:
+    """Maximal pieces of the map extended by (x, value) points outside its domain and range."""
+    return _kernel.merge_pieces(sorted([*pieces, *((x, x, v - x) for x, v in points)]))
+
+
+class MonotoneElement(_PieceMap):
     """A monotone injective partial selfmap of Z in canonical segment form.
 
-    Instances are immutable by convention and hashable; two elements are
-    equal iff they are equal as partial maps, which the normal form turns
-    into tuple equality.  Use :func:`normalize` (or the constructors
-    ``identity``, ``shift``, ``element_from_gaps``) rather than building
-    segment lists by hand.
+    Instances are immutable and hashable; two elements are equal iff they
+    are equal as partial maps, which the normal form turns into tuple
+    equality.  Use :func:`normalize` (or the constructors ``identity``,
+    ``shift``, ``element_from_gaps``) rather than building segment lists by
+    hand.
 
     Outside data is validated once, where it enters: this constructor,
     :func:`normalize`, :func:`parse_element`, :func:`shift`,
     :func:`collapse_element`, :func:`element_from_gaps` and
     ``IdempotentGaps(...)`` check their arguments.  Results computed from
     elements that are already canonical (``*``, :meth:`inverse`, collapses,
-    ``IdempotentGaps.to_element``, the bicyclic generators) are canonical by
-    construction and are wrapped by :meth:`_trusted` without a second check.
+    ``IdempotentGaps.to_element``, the bicyclic generators, the solvers'
+    candidates) are canonical by construction and are wrapped by
+    :meth:`_trusted` without a second check.
     """
 
     __slots__ = ("segments",)
@@ -120,22 +213,13 @@ class MonotoneElement:
         object.__setattr__(self, "segments", segs)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MonotoneElement is immutable")
+    def _pieces(self) -> tuple:
+        """Domain-sorted maximal (lo, hi, offset) translation pieces: the segments themselves."""
+        return self.segments
 
-    # -- pointwise semantics ------------------------------------------------
-
-    def __call__(self, x: int) -> int | None:
-        """Value at x, or None when x is outside the domain."""
-        segs = self.segments
-        i = bisect_right(segs, x, key=lambda s: s.lo) - 1
-        lo, hi, offset = segs[i]
-        if x <= hi:
-            return x + offset
-        return None
-
-    def __contains__(self, x: int) -> bool:
-        return self(x) is not None
+    # the benchmark's tracer looks these up in each element class's own namespace
+    dom_gaps = _PieceMap.dom_gaps
+    ran_gaps = _PieceMap.ran_gaps
 
     # -- monoid structure ---------------------------------------------------
 
@@ -147,57 +231,7 @@ class MonotoneElement:
 
     def inverse(self) -> "MonotoneElement":
         # the images of a canonical segment list, read as domains, are canonical too
-        return MonotoneElement._trusted(
-            tuple(Segment(lo + o, hi + o, -o) for lo, hi, o in self.segments)
-        )
-
-    def __invert__(self):
-        return self.inverse()
-
-    def is_idempotent(self) -> bool:
-        return all(o == 0 for _, _, o in self.segments)
-
-    # -- tail and gap data ----------------------------------------------------
-
-    @property
-    def left_offset(self) -> int:
-        return self.segments[0].offset
-
-    @property
-    def right_offset(self) -> int:
-        return self.segments[-1].offset
-
-    def dom_gaps(self) -> frozenset:
-        """Every integer outside the domain; its size grows with the gap widths."""
-        out = []
-        for (lo1, hi1, o1), (lo2, hi2, o2) in zip(self.segments, self.segments[1:]):
-            out.extend(range(hi1 + 1, lo2))
-        return frozenset(out)
-
-    def ran_gaps(self) -> frozenset:
-        """Every integer outside the range; its size grows with the gap widths."""
-        out = []
-        for (lo1, hi1, o1), (lo2, hi2, o2) in zip(self.segments, self.segments[1:]):
-            out.extend(range(hi1 + o1 + 1, lo2 + o2))
-        return frozenset(out)
-
-    def _dom_runs(self) -> list:
-        """The domain gaps as sorted maximal (lo, hi) runs, read off adjacent segments."""
-        segs = self.segments
-        return [(s.hi + 1, t.lo - 1) for s, t in zip(segs, segs[1:]) if s.hi + 1 < t.lo]
-
-    def _ran_runs(self) -> list:
-        """The range gaps as sorted maximal (lo, hi) runs, read off adjacent segment images."""
-        segs = self.segments
-        return [
-            (s.hi + s.offset + 1, t.lo + t.offset - 1)
-            for s, t in zip(segs, segs[1:])
-            if s.hi + s.offset + 1 < t.lo + t.offset
-        ]
-
-    def _pieces(self) -> tuple:
-        """Domain-sorted maximal (lo, hi, offset) translation pieces: the segments themselves."""
-        return self.segments
+        return MonotoneElement._trusted(tuple(map(Segment._make, _inverted(self.segments))))
 
     # -- equality and text ----------------------------------------------------
 
@@ -223,9 +257,6 @@ class MonotoneElement:
         for lo, hi, o in self.segments:
             parts.append(f"({_bound_text(lo)}..{_bound_text(hi)},{o:+d})")
         return "seg[" + ",".join(parts) + "]"
-
-    def __repr__(self):
-        return self.to_text()
 
 
 def _bound_text(v) -> str:

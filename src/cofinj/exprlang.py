@@ -392,9 +392,7 @@ class Evaluator:
     def _compose(self, a, b):
         _need_element(a, "'*'")
         _need_element(b, "'*'")
-        if isinstance(a, MonotoneElement) and isinstance(b, MonotoneElement):
-            return a * b
-        return _almost.canonicalize(_almost.compose_almost(a, b))
+        return _almost.canonicalize(a * b)
 
     def _pred(self, node):
         a = self._eval(node.left)

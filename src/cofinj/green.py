@@ -17,10 +17,11 @@ from itertools import combinations, permutations, product
 from .core import (
     IdempotentGaps,
     MonotoneElement,
+    Segment,
     collapse_element,
     element_from_gaps,
+    _graft,
     _runs_within,
-    normalize,
 )
 from . import almost as _almost
 
@@ -136,10 +137,10 @@ def _solve_right_monotone(a: MonotoneElement, b: MonotoneElement):
         cell_options.append(opts)
     out = []
     for combo in product(*cell_options):
-        raw = list(forced.segments)
-        for opt in combo:
-            raw.extend((s, s, v - s) for s, v in opt)
-        x = normalize(raw)
+        # increasing values between the forced neighbours keep the graft canonical
+        x = MonotoneElement._trusted(
+            tuple(map(Segment._make, _graft(forced.segments, (p for opt in combo for p in opt))))
+        )
         assert a * x == b
         out.append(x)
     return tuple(sorted(out, key=_text_key))
@@ -168,17 +169,10 @@ def _extend_almost(base, extra: dict):
     """
     if not extra:
         return base
-    return _almost._from_pieces(sorted(base._pieces() + [(x, x, v - x) for x, v in extra.items()]))
+    return _almost.AlmostMonotoneElement._trusted(_graft(base._pieces(), extra.items()))
 
 
 def solve_left(a, b, within: str | None = None):
-    """All x with x * a == b; dual to solve_right through inversion."""
-    if within is None:
-        within = (
-            "almost"
-            if isinstance(a, _almost.AlmostMonotoneElement)
-            or isinstance(b, _almost.AlmostMonotoneElement)
-            else "monotone"
-        )
+    """All x with x * a == b; dual to solve_right through inversion, which keeps each input's class."""
     sols = solve_right(a.inverse(), b.inverse(), within=within)
     return tuple(sorted((x.inverse() for x in sols), key=_text_key))

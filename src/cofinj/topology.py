@@ -130,7 +130,7 @@ def _extent(elem, pins=()) -> int:
 
 def product_cover(a, b, pins):
     """Pin sets (F1, F2) with U_a(F1) * U_b(F2) contained in U_{a*b}(pins)."""
-    g = _mul(a, b)
+    g = a * b
     pins = frozenset(pins)
     for x in pins:
         if x not in g:
@@ -223,12 +223,6 @@ def _runs_xor(ra, rb) -> list:
         else:
             flips.append(p)
     return [(lo, end - 1) for lo, end in zip(flips[::2], flips[1::2])]
-
-
-def _mul(a, b):
-    if isinstance(a, MonotoneElement) and isinstance(b, MonotoneElement):
-        return a * b
-    return _almost.compose_almost(a, b)
 
 
 # -- member sampling for audits ------------------------------------------------------
@@ -363,11 +357,11 @@ def audit_product_cover(a, b, pins, rng, samples: int = 20) -> bool:
     f1, f2 = product_cover(a, b, pins)
     n1 = BasicNeighborhood(a, f1, "W")
     n2 = BasicNeighborhood(b, f2, "W")
-    target = BasicNeighborhood(_mul(a, b), pins, "W")
+    target = BasicNeighborhood(a * b, pins, "W")
     for _ in range(samples):
         g1 = sample_member(n1, rng)
         g2 = sample_member(n2, rng)
-        if not member(target, _mul(g1, g2)):
+        if not member(target, g1 * g2):
             return False
     return True
 

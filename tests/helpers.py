@@ -308,3 +308,28 @@ def ref_extend_almost(base, extra: dict):
             mid[x] = y
     mid.update(extra)
     return make_almost(d, dl, u, ur, mid)
+
+
+def ref_witness_gaps(a, b) -> set:
+    """witness_idempotent's gap set, by calling both maps at every point of the shared window.
+
+    A map's window is (left_end, right_start) as the tails leave it: for a
+    monotone element the end of the first segment and the start of the last,
+    (0, 1) for a total translation.
+    """
+
+    def window(elem):
+        if isinstance(elem, MonotoneElement):
+            segs = elem.segments
+            return (0, 1) if len(segs) == 1 else (segs[0].hi, segs[-1].lo)
+        return elem.left_end, elem.right_start
+
+    lo = min(window(a)[0], window(b)[0])
+    hi = max(window(a)[1], window(b)[1])
+    gaps = set()
+    for x in range(lo + 1, hi):
+        for f in (a, b):
+            y = f(x)
+            if y is not None:
+                gaps.add(y)
+    return gaps

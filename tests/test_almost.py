@@ -58,11 +58,27 @@ def test_make_scramble_valid_but_not_monotone():
         (0, 0, 6, 0, {7: 8}),  # point outside window
         (0, 5, 1, 0, {}),  # tail images collide
         (0, 0, 6, 0, {1: "x"}),
+        (0, 0, 3, 0, [(1, 1), (1, 2)]),  # point listed twice, last pair would win
+        (0, 0, 3, 0, [(1, 2), (1, 1)]),  # point listed twice, the tail would absorb it
+        (0, 0, 3, 0, 5),  # middle not iterable
+        (0, 0, 3, 0, [(1, 2, 3)]),  # not a pair
+        (0, 0, 3, 0, [([1], 2)]),  # unhashable point
     ],
 )
 def test_make_rejects(args):
     with pytest.raises(InvalidElementError):
         make_almost(*args)
+
+
+def test_repeated_middle_point_is_rejected_like_the_parser():
+    for build in (make_almost, AlmostMonotoneElement):
+        with pytest.raises(InvalidElementError, match="middle point 1 listed twice"):
+            build(0, 0, 3, 0, [(1, 1), (1, 2)])
+        with pytest.raises(InvalidElementError):
+            build(0, 0, 3, 0, 5)
+    with pytest.raises(InvalidElementError, match="middle point 1 listed twice"):
+        parse_almost("am[d=0,L=0,u=3,R=0; 1->1, 1->2]")
+    assert make_almost(0, 0, 4, 0, [(1, 2), (2, 1)]) == make_almost(0, 0, 4, 0, {1: 2, 2: 1})
 
 
 def test_window_minimization():

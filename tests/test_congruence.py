@@ -20,6 +20,8 @@ from cofinj.congruence import (
 )
 from cofinj import almost as am
 
+from helpers import ref_witness_gaps
+
 
 def test_signature_examples():
     assert mgc_signature(identity()) == Signature(0, 0)
@@ -96,6 +98,33 @@ def test_witness_idempotent_realizes_congruence():
         assert e.is_idempotent()
         assert a * e == b * e
     assert found > 10
+
+
+def test_witness_idempotent_matches_point_loop():
+    """Gaps from clipped pieces agree with calling both maps at every window point."""
+    rng = random.Random(8)
+    pairs = []
+    for _ in range(150):
+        a = am.random_almost(rng, max_offset=3, window=8, max_middle=8)
+        eps = IdempotentGaps(rng.sample(range(-9, 10), rng.randint(0, 4))).to_element()
+        pairs.append((a, am.compose_almost(eps, a)))
+        m = random_element(rng, 3, 3)
+        pairs.append((m, m * eps))
+        pairs.append((am.from_monotone(m), eps * m))
+        k = rng.randint(-3, 3)
+        pairs.append((shift(k), am.make_almost(-1, k, 2, k, {0: k + 1, 1: k})))
+        pairs.append((shift(k), am.from_monotone(shift(k))))
+    # both windows far out: the shared window stays narrow, the values are wide
+    x = am.make_almost(-2, 0, 3, 0, {-1: 1, 1: -1})
+    for k in (10**6, 2**60):
+        for eps in (IdempotentGaps({0}).to_element(), IdempotentGaps({-2, 2}).to_element()):
+            pairs.append((shift(k) * x * shift(-k), shift(k) * eps * x * shift(-k)))
+            pairs.append((shift(k) * x, shift(k) * eps * x))
+    for a, b in pairs:
+        assert mgc_equiv(a, b)
+        want = IdempotentGaps(ref_witness_gaps(a, b)).to_element()
+        assert witness_idempotent(a, b) == want, (a, b)
+        assert witness_idempotent(b, a) == want, (a, b)
 
 
 def test_unit_to_shift():

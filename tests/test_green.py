@@ -3,8 +3,11 @@ from itertools import combinations, permutations
 
 from cofinj.core import (
     IdempotentGaps,
+    MonotoneElement,
+    Segment,
     element_from_gaps,
     identity,
+    normalize,
     parse_element,
     random_element,
     shift,
@@ -151,6 +154,28 @@ def test_solutions_satisfy_equation():
             assert a * x == b
         for x in solve_left(a, b):
             assert x * a == b
+
+
+def test_monotone_candidates_equal_normalized_raw():
+    """Each grafted solution is what normalize makes of the forced segments plus its extra points."""
+    rng = random.Random(31)
+    pairs = []
+    for n in range(1, 6):
+        e = IdempotentGaps(range(n)).to_element()
+        pairs.append((e, e))
+    for _ in range(80):
+        a, y = random_element(rng, 2, 2), random_element(rng, 2, 2)
+        pairs.append((a, a * y))
+    total = 0
+    for a, b in pairs:
+        forced = a.inverse() * b
+        for x in solve_right(a, b):
+            raw = list(forced.segments) + [(s, s, x(s) - s) for s in sorted(forced.dom_gaps()) if s in x]
+            assert x.segments == normalize(raw).segments, (a, b, x)
+            assert all(type(s) is Segment for s in x.segments)
+            assert MonotoneElement(x.segments) == x
+            total += 1
+    assert total > 500
 
 
 def test_solve_left_duality():
