@@ -46,6 +46,7 @@ from .core import (
     MonotoneElement,
     Segment,
     _inverted,
+    _is_int,
     _PieceMap,
 )
 
@@ -170,7 +171,7 @@ def _checked_middle(d, dl, u, ur, middle) -> dict:
     """The validated middle of a window with tails x -> x + dl up to d and x -> x + ur from u."""
     mid = _middle_dict(middle)
     for v in (d, dl, u, ur):
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not _is_int(v):
             raise InvalidElementError("tail data must be integers")
     if d >= u:
         raise InvalidElementError("left end of the window must lie below the right start")
@@ -178,7 +179,7 @@ def _checked_middle(d, dl, u, ur, middle) -> dict:
         raise InvalidElementError("tail images collide: left image must end below the right image")
     seen = set()
     for k, v in mid.items():
-        if not isinstance(k, int) or isinstance(k, bool) or not isinstance(v, int) or isinstance(v, bool):
+        if not (_is_int(k) and _is_int(v)):
             raise InvalidElementError("middle entries must be integer pairs")
         if not d < k < u:
             raise InvalidElementError(f"middle point {k} outside the open window ({d}, {u})")
@@ -350,15 +351,18 @@ def unit_decompose(elem) -> UnitDecomposition:
 
 
 def unit_recompose(dec: UnitDecomposition) -> AlmostMonotoneElement:
-    perm = dict(dec.support_perm)
-    if len(perm) != len(dec.support_perm):
+    support = dec.support_perm
+    if not all(isinstance(p, (tuple, list)) and len(p) == 2 and all(map(_is_int, p)) for p in support):
+        raise InvalidElementError("support permutation entries must be integer pairs")
+    perm = dict(support)
+    if len(perm) != len(support):
         raise InvalidElementError("support permutation repeats a point")
     if set(perm.values()) != set(perm):
         raise InvalidElementError("support permutation is not a bijection of its support")
     if any(v == k for k, v in perm.items()):
         raise InvalidElementError("support permutation lists a fixed point")
     k = dec.shift
-    if not isinstance(k, int) or isinstance(k, bool):
+    if not _is_int(k):
         raise InvalidElementError("shift must be an integer")
     if not perm:
         return make_almost(0, k, 1, k, {})
@@ -400,7 +404,7 @@ def random_unit(seed, max_shift: int = 3, window: int = 4, max_support: int = 5)
 # -- text ------------------------------------------------------------------------
 
 _AM_RE = re.compile(
-    r"am\[\s*d=([+-]?\d+)\s*,\s*L=([+-]?\d+)\s*,\s*u=([+-]?\d+)\s*,\s*R=([+-]?\d+)\s*;(.*)\]\Z",
+    r"am\[" + ",".join(rf"\s*{name}\s*=\s*([+-]?\d+)\s*" for name in "dLuR") + r";(.*)\]\Z",
     re.DOTALL,
 )
 _PAIR_RE = re.compile(r"([+-]?\d+)\s*->\s*([+-]?\d+)\Z")

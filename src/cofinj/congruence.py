@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import IdempotentGaps, InvalidElementError, MonotoneElement, element_from_gaps, shift
+from .core import InvalidElementError, MonotoneElement, _from_runs, _idempotent, _overlaps, shift
 from .almost import AlmostMonotoneElement
 
 
@@ -63,8 +63,8 @@ def signature_preimage(sig) -> MonotoneElement:
     if a == b:
         return shift(a)
     if b > a:
-        return element_from_gaps((), range(a + 1, b + 1), a)
-    return element_from_gaps(range(1, a - b + 1), (), a)
+        return _from_runs((), [(a + 1, b)], a)
+    return _from_runs([(1, a - b)], (), a)
 
 
 def witness_idempotent(a, b) -> "MonotoneElement":
@@ -74,15 +74,13 @@ def witness_idempotent(a, b) -> "MonotoneElement":
     existence is the congruence criterion for the minimal group congruence.
     A map's window runs from the end of its first piece to the start of its
     last one, (0, 1) for a single piece; the gaps are the images of each
-    map's pieces clipped to the open window.
+    map's pieces clipped to the open window, as runs; sorted together, they
+    are the gap runs of the idempotent.
     """
     if not mgc_equiv(a, b):
         raise InvalidElementError("elements are not congruent")
     ps = (a._pieces(), b._pieces())
     lo = min(p[0][1] if len(p) > 1 else 0 for p in ps) + 1
     hi = max(p[-1][0] if len(p) > 1 else 1 for p in ps) - 1
-    gaps = set()
-    for p in ps:
-        for plo, phi, off in p:
-            gaps.update(range(max(plo, lo) + off, min(phi, hi) + off + 1))
-    return IdempotentGaps(gaps).to_element()
+    runs = sorted((s + o, t + o) for p in ps for s, t, (_, _, o), _ in _overlaps(p, [(lo, hi)]))
+    return _idempotent(runs)

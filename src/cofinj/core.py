@@ -24,7 +24,11 @@ comparisons and never mixed into finite arithmetic.
 The idempotents of this monoid are the identity maps of cofinite subsets;
 they are encoded by their finite gap set (``IdempotentGaps``), under which
 the idempotent semilattice is the semilattice of finite subsets of Z with
-union.
+union.  Below the public API a gap set is its sorted maximal (lo, hi) runs:
+collapses, idempotents and elements with given gaps are built from runs, so
+their cost does not grow with the gap widths.  Points appear only where the
+result is a point set: ``dom_gaps()``, ``ran_gaps()``, ``IdempotentGaps``
+and the ``E{...}`` text.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain, filterfalse
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -52,14 +56,18 @@ class Segment(NamedTuple):
     offset: int
 
 
+def _is_int(v) -> bool:
+    """The one integer test for outside data: an int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _is_bound(v) -> bool:
-    if isinstance(v, bool):
-        return False
-    return isinstance(v, int) or v == NEG_INF or v == POS_INF
+    # _is_int written out: this runs on every segment bound that enters
+    return isinstance(v, int) and not isinstance(v, bool) or v == NEG_INF or v == POS_INF
 
 
 def _check_int(v, message: str):
-    if not isinstance(v, int) or isinstance(v, bool):
+    if not _is_int(v):
         raise InvalidElementError(f"{message}, got {v!r}")
 
 
@@ -74,7 +82,7 @@ def _check_segment(lo, hi, offset):
 
 
 def _check_gaps(gaps):
-    for g in gaps:
+    for g in filterfalse(_is_int, gaps):
         _check_int(g, "gap positions must be integers")
 
 
@@ -312,20 +320,31 @@ def shift(k: int) -> MonotoneElement:
     return MonotoneElement([(NEG_INF, POS_INF, k)])
 
 
-@lru_cache(maxsize=8192)
-def _collapse_cached(gaps: tuple) -> MonotoneElement:
-    """collapse_element for a sorted tuple of distinct integer gaps."""
+def _collapse_runs(runs) -> MonotoneElement:
+    """x -> x minus the gaps below x, for sorted disjoint (lo, hi) gap runs that may touch."""
     segs = []
     prev = NEG_INF
     dropped = 0
-    for g in gaps:
-        lo = prev + 1
-        if lo <= g - 1:
-            segs.append(Segment(lo, g - 1, -dropped))
-        dropped += 1
-        prev = g
+    for lo, hi in runs:
+        if prev + 1 < lo:
+            segs.append(Segment(prev + 1, lo - 1, -dropped))
+        dropped += hi - lo + 1
+        prev = hi
     segs.append(Segment(prev + 1, POS_INF, -dropped))
     return MonotoneElement._trusted(tuple(segs))
+
+
+@lru_cache(maxsize=8192)
+def _collapse_cached(gaps: tuple) -> MonotoneElement:
+    """collapse_element for a sorted tuple of distinct integer gaps."""
+    return _collapse_runs([(g, g) for g in gaps])
+
+
+def _idempotent(runs) -> MonotoneElement:
+    """The identity map off (lo, hi) gap runs sorted by lo, which may touch or overlap."""
+    covered = zip([lo for lo, _ in runs], accumulate([hi for _, hi in runs], max))
+    pieces = _gaps_between([(NEG_INF, NEG_INF), *covered, (POS_INF, POS_INF)])
+    return MonotoneElement._trusted(tuple(Segment(lo, hi, 0) for lo, hi in pieces))
 
 
 def collapse_element(gaps: Iterable[int]) -> MonotoneElement:
@@ -335,8 +354,6 @@ def collapse_element(gaps: Iterable[int]) -> MonotoneElement:
     choice of monotone bijection from a cofinite set onto Z.
     """
     gs = set(gaps)
-    if not gs:
-        return identity()
     _check_gaps(gs)
     return _collapse_cached(tuple(sorted(gs)))
 
@@ -348,12 +365,20 @@ def element_from_gaps(dom_gaps: Iterable[int], ran_gaps: Iterable[int], left_off
     ran_gaps; the three data determine the element completely.
     """
     _check_int(left_offset, "left_offset must be an integer")
-    left = collapse_element(dom_gaps)
-    if left_offset:
-        left = MonotoneElement._trusted(
-            tuple(Segment(lo, hi, o + left_offset) for lo, hi, o in left.segments)
-        )
-    return left * collapse_element(ran_gaps).inverse()
+    return _joined(collapse_element(dom_gaps), left_offset, collapse_element(ran_gaps))
+
+
+def _from_runs(dom_runs, ran_runs, k: int) -> MonotoneElement:
+    """element_from_gaps over sorted disjoint (lo, hi) gap runs."""
+    _check_int(k, "left_offset must be an integer")
+    return _joined(_collapse_runs(dom_runs), k, _collapse_runs(ran_runs))
+
+
+def _joined(left: MonotoneElement, k: int, right: MonotoneElement) -> MonotoneElement:
+    """The collapse ``left``, then x -> x + k, then the inverse of the collapse ``right``."""
+    if k:
+        left = MonotoneElement._trusted(tuple(Segment(lo, hi, o + k) for lo, hi, o in left.segments))
+    return left * right.inverse()
 
 
 def random_element(seed, max_gaps: int, max_offset: int) -> MonotoneElement:
@@ -391,6 +416,24 @@ def _runs_within(inner, outer) -> bool:
         if j == n or outer[j][0] > lo or outer[j][1] < hi:
             return False
     return True
+
+
+def _overlaps(pa, pb):
+    """(lo, hi, p, q) for each nonempty overlap lo..hi of an item p of pa with an item q of pb.
+
+    Items are (lo, hi, ...) intervals, each list sorted and disjoint; one
+    merge walk over both lists.
+    """
+    i = j = 0
+    while i < len(pa) and j < len(pb):
+        p, q = pa[i], pb[j]
+        lo, hi = max(p[0], q[0]), min(p[1], q[1])
+        if lo <= hi:
+            yield lo, hi, p, q
+        if p[1] < q[1]:
+            i += 1
+        else:
+            j += 1
 
 
 # -- spec-level operation aliases ----------------------------------------------

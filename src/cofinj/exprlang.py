@@ -28,7 +28,7 @@ from . import bicyclic as _bicyclic
 from . import congruence as _congruence
 from . import green as _green
 from . import topology as _topology
-from .core import IdempotentGaps, InvalidElementError, MonotoneElement, identity, parse_element, shift
+from .core import IdempotentGaps, InvalidElementError, MonotoneElement, _is_int, identity, parse_element, shift
 
 
 class ParseError(ValueError):
@@ -415,7 +415,7 @@ class Evaluator:
         name = node.name
         args = [self._eval(a) for a in node.args]
         if name == "shift":
-            if not isinstance(args[0], int) or isinstance(args[0], bool):
+            if not _is_int(args[0]):
                 raise EvalError("shift expects an integer")
             return shift(args[0])
         if name == "h":
@@ -529,9 +529,7 @@ def format_value(v) -> str:
     if _is_element(v):
         return _almost.canonicalize(v).to_text()
     if isinstance(v, _topology.BasicNeighborhood):
-        name = "nbhd" if v.flavor == "W" else "nbhd_h"
-        pins = ", ".join(str(p) for p in sorted(v.pins))
-        return f"{name}({format_value(v.center)}; {pins})"
+        return v.to_text()
     if isinstance(v, tuple) and len(v) == 2:
         return f"({format_value(v[0])}, {format_value(v[1])})"
     if isinstance(v, (frozenset, set)):

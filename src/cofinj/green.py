@@ -3,8 +3,9 @@ arbitrary idempotents, the two-sided factorization through any element, and
 exact finite solution sets for one-sided equations.
 
 Both element kinds (monotone and almost-monotone) are accepted wherever gaps
-determine the answer: the R/L/H relations compare domain and range gap sets,
-as sorted maximal runs, so their cost does not grow with the gap widths.
+determine the answer.  Gap sets are read as sorted maximal runs, so the cost
+of the R/L/H relations, the factorization, the H-class members and the
+monotone solver's cells does not grow with the gap widths.
 The equation solvers enumerate the full (finite) solution set of a*x == b or
 x*a == b, either inside the monotone monoid or inside the almost-monotone
 one.
@@ -12,15 +13,18 @@ one.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import combinations, groupby, permutations, product
+from operator import itemgetter
 
 from .core import (
     IdempotentGaps,
     MonotoneElement,
     Segment,
-    collapse_element,
     element_from_gaps,
+    _collapse_runs,
+    _from_runs,
     _graft,
+    _overlaps,
     _runs_within,
 )
 from . import almost as _almost
@@ -57,15 +61,15 @@ def factorize_simple(gamma: MonotoneElement, phi: MonotoneElement):
     two-sided ideals.  kappa re-indexes dom(gamma) onto dom(phi) through the
     canonical collapses; xi is then forced.
     """
-    kappa = collapse_element(gamma.dom_gaps()) * collapse_element(phi.dom_gaps()).inverse()
+    kappa = _collapse_runs(gamma._dom_runs()) * _collapse_runs(phi._dom_runs()).inverse()
     xi = (kappa * phi).inverse() * gamma
     return kappa, xi
 
 
 def h_class_members(elem: MonotoneElement, alignments) -> list:
     """The members of the monotone H-class of elem at the given left-tail offsets."""
-    d, r = elem.dom_gaps(), elem.ran_gaps()
-    return [element_from_gaps(d, r, k) for k in alignments]
+    d, r = elem._dom_runs(), elem._ran_runs()
+    return [_from_runs(d, r, k) for k in alignments]
 
 
 # -- finite equation solving ------------------------------------------------------
@@ -73,25 +77,6 @@ def h_class_members(elem: MonotoneElement, alignments) -> list:
 
 def _text_key(elem):
     return elem.to_text()
-
-
-def _free_cells(forced: MonotoneElement):
-    """Group the integers missing from dom(forced) by their bracketing domain points.
-
-    Yields ((pred, succ), points): pred/succ are the nearest points of
-    dom(forced) around the run, so any extension of forced must send the run's
-    usable points strictly between the forced values at pred and succ.
-    """
-    gaps = sorted(forced.dom_gaps())
-    cells = []
-    i = 0
-    while i < len(gaps):
-        j = i
-        while j + 1 < len(gaps) and gaps[j + 1] == gaps[j] + 1:
-            j += 1
-        cells.append(((gaps[i] - 1, gaps[j] + 1), gaps[i : j + 1]))
-        i = j + 1
-    return cells
 
 
 def solve_right(a, b, within: str | None = None):
@@ -111,24 +96,23 @@ def solve_right(a, b, within: str | None = None):
         )
     if within not in ("monotone", "almost"):
         raise ValueError(f"unknown monoid {within!r}")
-    a_m = _almost.as_almost(a) if within == "almost" else a
-    b_m = _almost.as_almost(b) if within == "almost" else b
     if within == "almost":
-        return _solve_right_almost(a_m, b_m)
-    return _solve_right_monotone(a_m, b_m)
+        return _solve_right_almost(_almost.as_almost(a), _almost.as_almost(b))
+    return _solve_right_monotone(a, b)
 
 
 def _solve_right_monotone(a: MonotoneElement, b: MonotoneElement):
     if not _runs_within(a._dom_runs(), b._dom_runs()):
         return ()
     forced = a.inverse() * b
-    free = sorted(a.ran_gaps())
-    cells = _free_cells(forced)
+    # a cell is a maximal run of dom(forced) gaps; an extension sends the cell's points
+    # outside ran(a) strictly between the forced values around it, or leaves the cell alone
     cell_options = []
-    for (pred, succ), pts in cells:
-        usable = [s for s in pts if s in free]
-        lo, hi = forced(pred), forced(succ)
-        values = range(lo + 1, hi)
+    for (lo, hi), overlaps in groupby(_overlaps(forced._dom_runs(), a._ran_runs()), key=itemgetter(2)):
+        values = range(forced(lo - 1) + 1, forced(hi + 1))
+        if not values:
+            continue
+        usable = [s for ulo, uhi, _, _ in overlaps for s in range(ulo, uhi + 1)]
         opts = []
         for n in range(min(len(usable), len(values)) + 1):
             for chosen in combinations(usable, n):

@@ -33,12 +33,15 @@ sets is determined by a single value.
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 from .core import (
     InvalidElementError,
     MonotoneElement,
     NEG_INF,
     POS_INF,
+    _is_int,
+    _overlaps,
     _runs_within,
     identity,
     normalize,
@@ -56,7 +59,7 @@ class BasicNeighborhood:
             raise InvalidElementError(f"flavor must be 'W' or 'H', got {flavor!r}")
         pins = frozenset(pins)
         for x in pins:
-            if not isinstance(x, int) or isinstance(x, bool):
+            if not _is_int(x):
                 raise InvalidElementError(f"pins must be integers, got {x!r}")
             if x not in center:
                 raise InvalidElementError(f"pin {x} is outside the center's domain")
@@ -103,26 +106,13 @@ def member(nbhd: BasicNeighborhood, elem) -> bool:
 
 
 def _extent(elem, pins=()) -> int:
-    m = 0
-    for p in pins:
-        m = max(m, abs(p))
-    if isinstance(elem, MonotoneElement):
-        for lo, hi, off in elem.segments:
-            if lo != NEG_INF:
-                m = max(m, abs(lo), abs(lo + off))
-            if hi != POS_INF:
-                m = max(m, abs(hi), abs(hi + off))
-        return m
-    m = max(
-        m,
-        abs(elem.left_end),
-        abs(elem.right_start),
-        abs(elem.left_end + elem.left_offset),
-        abs(elem.right_start + elem.right_offset),
-    )
-    for k, v in elem.middle.items():
-        m = max(m, abs(k), abs(v))
-    return m
+    """The largest |x| over the pins, the finite piece ends and their images."""
+    pieces = elem._pieces()
+    if len(pieces) == 1 and isinstance(elem, _almost.AlmostMonotoneElement):
+        # an almost-monotone total translation reports the window (0, 1)
+        pieces = ((NEG_INF, 0, pieces[0][2]), (1, POS_INF, pieces[0][2]))
+    ends = [v for lo, hi, o in pieces for e in (lo, hi) if abs(e) != POS_INF for v in (e, e + o)]
+    return max(map(abs, chain(pins, ends)), default=0)
 
 
 # -- continuity certificates -------------------------------------------------------
@@ -181,24 +171,6 @@ def separate(a, b):
     if x in a:
         return frozenset({x}), frozenset()
     return frozenset(), frozenset({x})
-
-
-def _overlaps(pa, pb):
-    """(lo, hi, p, q) for each nonempty overlap lo..hi of an item p of pa with an item q of pb.
-
-    Items are (lo, hi, ...) intervals, each list sorted and disjoint; one
-    merge walk over both lists.
-    """
-    i = j = 0
-    while i < len(pa) and j < len(pb):
-        p, q = pa[i], pb[j]
-        lo, hi = max(p[0], q[0]), min(p[1], q[1])
-        if lo <= hi:
-            yield lo, hi, p, q
-        if p[1] < q[1]:
-            i += 1
-        else:
-            j += 1
 
 
 def _nearest_zero(intervals):

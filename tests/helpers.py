@@ -4,7 +4,7 @@ Everything here works pointwise on explicit integer windows or by exhaustive
 enumeration, never through the segment arithmetic under test.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 from cofinj.almost import AlmostMonotoneElement, make_almost
 from cofinj.core import NEG_INF, POS_INF, InvalidElementError, MonotoneElement, element_from_gaps, normalize
@@ -333,3 +333,104 @@ def ref_witness_gaps(a, b) -> set:
             if y is not None:
                 gaps.add(y)
     return gaps
+
+
+# -- point-set references for the run builders -------------------------------------------
+#
+# The library builds collapses, idempotents, elements with given gaps and the
+# monotone solver's cells from gap runs, and reads topology's sample extent off
+# the pieces.  These are the point-by-point versions and the window-view
+# extent, kept as the reference; their cost grows with the gap widths, so keep
+# the inputs narrow.
+
+
+def ref_collapse(gaps) -> MonotoneElement:
+    """The collapse of a finite gap set, one gap point at a time: x -> x minus the gaps below x."""
+    segs = []
+    prev = NEG_INF
+    dropped = 0
+    for g in sorted(set(gaps)):
+        lo = prev + 1
+        if lo <= g - 1:
+            segs.append((lo, g - 1, -dropped))
+        dropped += 1
+        prev = g
+    segs.append((prev + 1, POS_INF, -dropped))
+    return MonotoneElement(segs)
+
+
+def ref_idempotent(gaps) -> MonotoneElement:
+    """The identity map off a finite gap set: the collapse's domain with offset 0."""
+    return MonotoneElement([(lo, hi, 0) for lo, hi, _ in ref_collapse(gaps).segments])
+
+
+def ref_from_gaps(dom_gaps, ran_gaps, k) -> MonotoneElement:
+    """collapse(dom_gaps), then x -> x + k, then the inverse collapse of ran_gaps."""
+    left = MonotoneElement([(lo, hi, o + k) for lo, hi, o in ref_collapse(dom_gaps).segments])
+    return left * ref_collapse(ran_gaps).inverse()
+
+
+def ref_free_cells(forced):
+    """The integers missing from dom(forced), grouped by their bracketing domain points.
+
+    Yields ((pred, succ), points): pred/succ are the nearest points of
+    dom(forced) around the run, so any extension of forced must send the run's
+    usable points strictly between the forced values at pred and succ.
+    """
+    gaps = sorted(forced.dom_gaps())
+    cells = []
+    i = 0
+    while i < len(gaps):
+        j = i
+        while j + 1 < len(gaps) and gaps[j + 1] == gaps[j] + 1:
+            j += 1
+        cells.append(((gaps[i] - 1, gaps[j] + 1), gaps[i : j + 1]))
+        i = j + 1
+    return cells
+
+
+def ref_solve_right_monotone(a, b) -> tuple:
+    """Every monotone x with a * x == b, from the point cells of ref_free_cells, sorted by text."""
+    if not a.dom_gaps() <= b.dom_gaps():
+        return ()
+    forced = a.inverse() * b
+    free = a.ran_gaps()
+    cell_options = []
+    for (pred, succ), pts in ref_free_cells(forced):
+        usable = [s for s in pts if s in free]
+        values = range(forced(pred) + 1, forced(succ))
+        opts = []
+        for n in range(min(len(usable), len(values)) + 1):
+            for chosen in combinations(usable, n):
+                for vals in combinations(values, n):
+                    opts.append(tuple(zip(chosen, vals)))
+        cell_options.append(opts)
+    out = []
+    for combo in product(*cell_options):
+        extra = [(x, x, v - x) for opt in combo for x, v in opt]
+        out.append(normalize(list(forced.segments) + extra))
+    return tuple(sorted(out, key=lambda e: e.to_text()))
+
+
+def ref_extent(elem, pins=()) -> int:
+    """topology._extent as it read the window view: segment ends, or tails and middle."""
+    m = 0
+    for p in pins:
+        m = max(m, abs(p))
+    if isinstance(elem, MonotoneElement):
+        for lo, hi, off in elem.segments:
+            if lo != NEG_INF:
+                m = max(m, abs(lo), abs(lo + off))
+            if hi != POS_INF:
+                m = max(m, abs(hi), abs(hi + off))
+        return m
+    m = max(
+        m,
+        abs(elem.left_end),
+        abs(elem.right_start),
+        abs(elem.left_end + elem.left_offset),
+        abs(elem.right_start + elem.right_offset),
+    )
+    for k, v in elem.middle.items():
+        m = max(m, abs(k), abs(v))
+    return m

@@ -248,6 +248,9 @@ def test_unit_recompose_rejects():
         unit_recompose(UnitDecomposition(((0, 1),), 0))  # not a bijection
     with pytest.raises(InvalidElementError):
         unit_recompose(UnitDecomposition(((0, 0),), 0))  # listed fixed point
+    for support in (((0.5, 1.5), (1.5, 0.5)), (("a", "b"), ("b", "a")), ((0, 1, 2), (1, 0, 2)), (5,)):
+        with pytest.raises(InvalidElementError):
+            unit_recompose(UnitDecomposition(support, 0))  # not integer pairs
 
 
 # -- text --------------------------------------------------------------------------
@@ -260,6 +263,12 @@ def test_text_round_trip():
     for _ in range(200):
         a = random_almost(rng)
         assert parse_almost(a.to_text()) == a
+
+
+def test_parse_accepts_blanks_around_every_separator():
+    spaced = "am[ d = 0 , L = 0 , u = 4 , R = 0 ; 1 -> 2 , 2 -> 1 ]"
+    assert parse_almost(spaced) == parse_almost("am[d=0,L=0,u=4,R=0; 1->2, 2->1]")
+    assert parse_almost(spaced).to_text() == "am[d=0,L=0,u=4,R=0; 1->2, 2->1]"
 
 
 def test_parse_rejects():

@@ -10,7 +10,8 @@ import os
 import random
 
 from cofinj import almost as am
-from cofinj.core import IdempotentGaps, MonotoneElement, random_element, shift
+from cofinj import core
+from cofinj.core import IdempotentGaps, MonotoneElement, collapse_element, random_element, shift
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -92,3 +93,14 @@ def test_oracle_point_map_agrees_with_the_elements():
         for x in xs:
             assert f(x) == e(x), (e, x)
         assert f.tails() == (e.left_offset, e.right_offset)
+
+
+def test_collapse_cache_counts_repeated_collapses():
+    # the worker reports core.collapse.hit_ratio from this cache's counters
+    gaps = (-(2**40), 3, 5, 6)
+    collapse_element(gaps)
+    before = core._collapse_cached.cache_info()
+    assert collapse_element(reversed(gaps)) == collapse_element(gaps)
+    after = core._collapse_cached.cache_info()
+    assert after.hits == before.hits + 2
+    assert after.misses == before.misses

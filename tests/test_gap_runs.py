@@ -5,7 +5,10 @@ the three topology certificates read gap sets as sorted maximal (lo, hi) runs
 and elements as translation pieces.  Each result here must equal the
 frozenset and point-by-point version kept in helpers, on monotone,
 almost-monotone and mixed pairs, including 70-segment elements, 2^60
-offsets and pairs that are the same map in two representations.
+offsets and pairs that are the same map in two representations.  The
+builders over runs (collapses, idempotents, elements with given gaps), the
+monotone solver's cells and the sampler's extent are checked the same way
+against the point loops in helpers.
 """
 
 import contextlib
@@ -17,10 +20,14 @@ import pytest
 
 from cofinj import almost as am
 from cofinj import cli
+from cofinj.congruence import signature_preimage, witness_idempotent
 from cofinj.core import (
     IdempotentGaps,
     InvalidElementError,
     MonotoneElement,
+    _collapse_runs,
+    _from_runs,
+    _idempotent,
     _runs_within,
     element_from_gaps,
     identity,
@@ -28,19 +35,32 @@ from cofinj.core import (
     random_element,
     shift,
 )
-from cofinj.green import h_equiv, l_equiv, r_equiv, solve_left, solve_right
-from cofinj.topology import BasicNeighborhood, inverse_cover, member, product_cover, separate
+from cofinj.green import (
+    factorize_simple,
+    h_class_members,
+    h_equiv,
+    l_equiv,
+    r_equiv,
+    solve_left,
+    solve_right,
+)
+from cofinj.topology import BasicNeighborhood, _extent, inverse_cover, member, product_cover, separate
 
 from helpers import (
     expand_runs,
+    ref_collapse,
     ref_dom_within,
+    ref_extent,
+    ref_from_gaps,
     ref_h_equiv,
+    ref_idempotent,
     ref_inverse_cover,
     ref_l_equiv,
     ref_member,
     ref_product_cover,
     ref_r_equiv,
     ref_separate,
+    ref_solve_right_monotone,
 )
 
 WIDE = 2**60
@@ -183,6 +203,72 @@ def test_separate_matches_point_walk():
     assert kinds == {"same map", "disagree", "domain"}
 
 
+# -- run builders against the point loops ----------------------------------------------
+
+
+def _random_runs(rng, base=0):
+    """Sorted disjoint (lo, hi) runs near base; neighbours often touch, and one-point runs are common."""
+    runs = []
+    x = base + rng.randint(-12, 0)
+    for _ in range(rng.randint(0, 5)):
+        x += rng.choice((0, 0, 1, 2, 5))
+        hi = x + rng.choice((0, 0, 0, 1, 3))
+        runs.append((x, hi))
+        x = hi + 1
+    return runs
+
+
+def test_run_builders_match_point_loops():
+    rng = random.Random(41)
+    cases = [[(0, 0), (1, 1)], [(0, 0), (1, 1), (2, 2)], [(-3, -3), (-2, 0), (1, 1), (4, 4)], []]
+    cases += [_random_runs(rng) for _ in range(300)]
+    cases += [_random_runs(rng, WIDE) for _ in range(20)]
+    assert any(hi1 + 1 == lo2 for runs in cases for (_, hi1), (lo2, _) in zip(runs, runs[1:]))
+    for runs in cases:
+        pts = expand_runs(runs)
+        assert _collapse_runs(runs) == ref_collapse(pts), runs
+        assert _idempotent(runs) == ref_idempotent(pts) == IdempotentGaps(pts).to_element(), runs
+    for d, r in zip(cases, reversed(cases)):
+        k = rng.randint(-3, 3)
+        want = ref_from_gaps(expand_runs(d), expand_runs(r), k)
+        assert _from_runs(d, r, k) == want == element_from_gaps(expand_runs(d), expand_runs(r), k), (d, r, k)
+        # two run lists sorted together overlap; the idempotent is off their union
+        assert _idempotent(sorted(d + r)) == ref_idempotent(expand_runs(d) | expand_runs(r)), (d, r)
+    with pytest.raises(InvalidElementError):
+        _from_runs([(0, 1)], [], 0.5)
+
+
+def test_monotone_solver_cells_match_point_cells():
+    rng = random.Random(42)
+    pairs = []
+    for _ in range(120):
+        a = random_element(rng, 3, 2)
+        pairs.append((a, a * random_element(rng, 3, 2)))
+        pairs.append((a, random_element(rng, 3, 2)))
+        eps = IdempotentGaps(rng.sample(range(-4, 5), rng.randint(0, 4))).to_element()
+        pairs.append((eps, eps))
+        pairs.append((a, eps * a))
+    seen = set()
+    for a, b in pairs:
+        got = solve_right(a, b, within="monotone")
+        assert got == ref_solve_right_monotone(a, b), (a, b)
+        seen.add(min(len(got), 2))
+    assert seen == {0, 1, 2}
+
+
+def test_extent_matches_window_view():
+    rng, corpus, _ = _pairs(43)
+    corpus += [am.from_monotone(shift(k)) for k in (-3, -1, 0, 1, 4)] + [shift(5), identity()]
+    corpus += [_wide(e) for e in corpus[:10]]
+    n = 0
+    for e in corpus:
+        for _ in range(40):
+            pins = _pins(e, rng, 3)
+            assert _extent(e, pins) == ref_extent(e, pins), (e, pins)
+            n += 1
+    assert n > 3000
+
+
 # -- cost that does not grow with the integers ----------------------------------------------
 
 BIG = "seg[(-inf..0,+0),(1..+inf,+1000000000000)]"
@@ -211,9 +297,12 @@ def test_relations_membership_and_certificates_ignore_gap_width():
 
     Each operation, called directly and, where the expression language has a
     form for it, through the CLI, must take under 10 ms (fastest of three
-    calls).  inverse_cover and separate have no form.  audit_sep is left out:
-    its sampler draws members point by point across the gap, and those
-    seeded draws are part of the CLI output.
+    calls).  inverse_cover, separate, factorize_simple, h_class_members,
+    signature_preimage and witness_idempotent have no form.  The one
+    solution of a * x == id is found without listing the 10^12 points of
+    its cell, because the cell has no room for extra values.  audit_sep is
+    left out: its sampler draws members point by point across the gap, and
+    those seeded draws are part of the CLI output.
     """
     a = parse_element(BIG)
     ainv = a.inverse()
@@ -230,6 +319,15 @@ def test_relations_membership_and_certificates_ignore_gap_width():
         (lambda: inverse_cover(ainv, {0}), (frozenset({0}), frozenset({0}))),
         (lambda: separate(a, a * shift(1)), (frozenset({0}), frozenset({0}))),
         (lambda: product_cover(a, ainv, {0}), (frozenset({0}), frozenset({0}))),
+        (lambda: solve_right(a, identity()), (ainv,)),
+        (lambda: factorize_simple(ainv, a), (ainv, ainv)),
+        (lambda: h_class_members(a, [0, 5]), [a, shift(5) * a]),
+        (lambda: signature_preimage((0, big)), a),
+        (lambda: signature_preimage((big, 0)), ainv * shift(big)),
+        (lambda: witness_idempotent(parse_element(f"seg[(-inf..0,+0),({big}..+inf,+0)]"), identity()),
+         parse_element(f"seg[(-inf..0,+0),({big}..+inf,+0)]")),
+        (lambda: witness_idempotent(shift(WIDE), shift(WIDE) * IdempotentGaps({5}).to_element()),
+         parse_element(f"seg[(-inf..4,+0),({WIDE + 1}..+inf,+0)]")),
     ]
     via_cli = [
         (f"{BIG} ~R {BIG}^-1", "false"),
@@ -238,6 +336,8 @@ def test_relations_membership_and_certificates_ignore_gap_width():
         (f"in(nbhd({BIG}; 0), {BIG}^-1)", "true"),
         (f"in(nbhd_h({BIG}; 0), {BIG}^-1)", "false"),
         (f"cover({BIG}, {BIG}^-1; 0)", "({0}, {0})"),
+        (f"solve {BIG}*? = id", f"{{{ainv.to_text()}}}"),
+        (f"solve ?*{BIG}^-1 = id", f"{{{BIG}}}"),
     ]
     for fn, want in direct + [(lambda t=t: _eval(t), w) for t, w in via_cli]:
         ms, got = _fastest_ms(fn)
