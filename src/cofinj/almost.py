@@ -89,6 +89,9 @@ class AlmostMonotoneElement(_PieceMap):
         """Domain-sorted maximal (lo, hi, offset) translation pieces, as stored."""
         return self.pieces
 
+    def _constructor_args(self) -> tuple:
+        return (self.left_end, self.left_offset, self.right_start, self.right_offset, self.middle)
+
     # the benchmark's tracer looks these up in each element class's own namespace
     dom_gaps = _PieceMap.dom_gaps
     ran_gaps = _PieceMap.ran_gaps

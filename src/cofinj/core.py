@@ -117,6 +117,10 @@ class _PieceMap:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        # copies and pickles rebuild through the class's validating constructor
+        return (type(self), self._constructor_args())
+
     # -- pointwise semantics ------------------------------------------------
 
     def __call__(self, x: int) -> int | None:
@@ -224,6 +228,9 @@ class MonotoneElement(_PieceMap):
     def _pieces(self) -> tuple:
         """Domain-sorted maximal (lo, hi, offset) translation pieces: the segments themselves."""
         return self.segments
+
+    def _constructor_args(self) -> tuple:
+        return (self.segments,)
 
     # the benchmark's tracer looks these up in each element class's own namespace
     dom_gaps = _PieceMap.dom_gaps
@@ -492,6 +499,9 @@ class IdempotentGaps:
 
     def __setattr__(self, name, value):
         raise AttributeError("IdempotentGaps is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.gaps,))
 
     @classmethod
     def from_element(cls, elem: MonotoneElement) -> "IdempotentGaps":

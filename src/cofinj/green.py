@@ -87,6 +87,17 @@ def solve_right(a, b, within: str | None = None):
     solution extends the forced partial map a.inverse()*b by finitely many
     points taken from the complement of ran(a), which keeps the set finite.
     """
+    return tuple(sorted(_right_solutions(a, b, within), key=_text_key))
+
+
+def solve_left(a, b, within: str | None = None):
+    """All x with x * a == b; dual to solve_right through inversion, which keeps each input's class."""
+    sols = _right_solutions(a.inverse(), b.inverse(), within)
+    return tuple(sorted((x.inverse() for x in sols), key=_text_key))
+
+
+def _right_solutions(a, b, within):
+    """The solutions of a * x == b in the monoid ``within`` picks, unsorted."""
     if within is None:
         within = (
             "almost"
@@ -127,7 +138,7 @@ def _solve_right_monotone(a: MonotoneElement, b: MonotoneElement):
         )
         assert a * x == b
         out.append(x)
-    return tuple(sorted(out, key=_text_key))
+    return out
 
 
 def _solve_right_almost(a, b):
@@ -143,7 +154,7 @@ def _solve_right_almost(a, b):
                 x = _extend_almost(forced, dict(zip(chosen, vals)))
                 assert _almost.compose_almost(a, x) == b
                 out.append(x)
-    return tuple(sorted(out, key=_text_key))
+    return out
 
 
 def _extend_almost(base, extra: dict):
@@ -155,8 +166,3 @@ def _extend_almost(base, extra: dict):
         return base
     return _almost.AlmostMonotoneElement._trusted(_graft(base._pieces(), extra.items()))
 
-
-def solve_left(a, b, within: str | None = None):
-    """All x with x * a == b; dual to solve_right through inversion, which keeps each input's class."""
-    sols = solve_right(a.inverse(), b.inverse(), within=within)
-    return tuple(sorted((x.inverse() for x in sols), key=_text_key))

@@ -33,18 +33,21 @@ sets is determined by a single value.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from itertools import chain
 
+from . import _kernel
 from .core import (
     InvalidElementError,
     MonotoneElement,
     NEG_INF,
     POS_INF,
+    Segment,
+    _check_canonical,
     _is_int,
     _overlaps,
     _runs_within,
     identity,
-    normalize,
 )
 from . import almost as _almost
 
@@ -52,7 +55,8 @@ from . import almost as _almost
 class BasicNeighborhood:
     """U_center(pins) when flavor is 'W', W_center(pins) when flavor is 'H'."""
 
-    __slots__ = ("center", "pins", "flavor")
+    # _draw holds the draw function of the neighborhood's sampling plan once sample_member builds it
+    __slots__ = ("center", "pins", "flavor", "_draw")
 
     def __init__(self, center, pins, flavor: str = "W"):
         if flavor not in ("W", "H"):
@@ -66,9 +70,14 @@ class BasicNeighborhood:
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "pins", pins)
         object.__setattr__(self, "flavor", flavor)
+        object.__setattr__(self, "_draw", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BasicNeighborhood is immutable")
+
+    def __reduce__(self):
+        # copies and pickles go through the validating constructor and leave the plan behind
+        return (type(self), (self.center, self.pins, self.flavor))
 
     def __contains__(self, elem) -> bool:
         return member(self, elem)
@@ -209,85 +218,105 @@ def sample_member(nbhd: BasicNeighborhood, rng: random.Random):
     non-monotonically when the ambient monoid is the almost-monotone one.
     H flavor: conjugate the center by finite permutations of its domain and
     range fixing the pins and their images.
+
+    The first call on a neighborhood builds its plan: the window [-w, w]
+    around the pins and the finite piece ends, the pin values, and every
+    domain point of the window with its zone.  The neighborhood keeps the
+    plan's draw function, so later calls only consume ``rng``; a draw from a
+    reused neighborhood equals one from a fresh neighborhood with the same
+    rng state.  Plan and draws still take time linear in the window width.
     """
+    draw = nbhd._draw
+    if draw is None:
+        draw = _plan(nbhd)
+        object.__setattr__(nbhd, "_draw", draw)
+    return draw(rng)
+
+
+def _plan(nbhd):
+    """The neighborhood's draw function, rng -> member, with all rng-free work done up front."""
     if nbhd.flavor == "H":
-        return _sample_h_member(nbhd, rng)
-    return _sample_w_member(nbhd, rng)
-
-
-def _sample_w_member(nbhd, rng):
+        return _h_plan(nbhd)
     if isinstance(nbhd.center, MonotoneElement):
-        return _sample_w_monotone(nbhd, rng)
-    return _sample_w_almost(nbhd, rng)
+        return _w_monotone_plan(nbhd)
+    return _w_almost_plan(nbhd)
 
 
-def _kept_points(c, pinvals, w, rng):
-    kept = []
-    for x in range(-w, w + 1):
-        if x not in c:
-            continue
-        if x in pinvals or x in (-w, w) or rng.random() >= 0.25:
-            kept.append(x)
-    return kept
+def _window_points(elem, w: int) -> list:
+    """The domain points of elem in [-w, w], increasing, read off its pieces."""
+    return [x for lo, hi, _ in elem._pieces() for x in range(max(lo, -w), min(hi, w) + 1)]
 
 
-def _sample_w_monotone(nbhd, rng):
+def _w_monotone_plan(nbhd):
+    c = nbhd.center
+    w = _extent(c, nbhd.pins) + 4
+    pins = sorted(nbhd.pins)
+    pinvals = {x: c(x) for x in pins}
+    # zone i lies between pins i - 1 and i; its bounds are their values, None beyond the outer pins
+    qs = [None, *pinvals.values(), None]
+    zones = list(zip(qs, qs[1:]))
+    # each non-pin point with its zone and whether it is always kept (the window ends are)
+    points = [
+        (x, bisect_left(pins, x), x == -w or x == w) for x in _window_points(c, w) if x not in pinvals
+    ]
+
+    def draw(rng):
+        kept = [[] for _ in zones]
+        for x, z, always in points:
+            if always or rng.random() >= 0.25:
+                kept[z].append(x)
+        # redraw values zone by zone; pin values bracket each inner zone
+        vals = dict(pinvals)
+        for (qlo, qhi), zone in zip(zones, kept):
+            if qlo is not None and qhi is not None:
+                zone = sorted(rng.sample(zone, min(len(zone), qhi - qlo - 1)))
+                vals.update(zip(zone, sorted(rng.sample(range(qlo + 1, qhi), len(zone)))))
+            elif qhi is not None:
+                v = qhi
+                for x in reversed(zone):
+                    v -= rng.randint(1, 2)
+                    vals[x] = v
+            else:
+                v = qlo if qlo is not None else -w + rng.randint(-3, 1)
+                for x in zone:
+                    v += rng.randint(1, 2)
+                    vals[x] = v
+        raw = [(NEG_INF, -w, vals.pop(-w) + w), (w, POS_INF, vals.pop(w) - w)]
+        raw += [(x, x, v - x) for x, v in vals.items()]
+        return _checked_monotone(raw)
+
+    return draw
+
+
+def _checked_monotone(raw) -> MonotoneElement:
+    """The element of (lo, hi, offset) pieces with distinct starts, checked as ``normalize`` checks."""
+    segs = tuple(map(Segment._make, _kernel.merge_pieces(sorted(raw))))
+    _check_canonical(segs)
+    return MonotoneElement._trusted(segs)
+
+
+def _w_almost_plan(nbhd):
     c = nbhd.center
     w = _extent(c, nbhd.pins) + 4
     pinvals = {x: c(x) for x in nbhd.pins}
-    kept = _kept_points(c, pinvals, w, rng)
+    taken = set(pinvals.values())
+    inner = [x for x in _window_points(c, w - 1) if x not in pinvals]
+    anchor_lo = min(taken, default=0)
+    anchor_hi = max(taken, default=0)
+    always = len(pinvals) + 2  # the pins and the two window ends
 
-    # redraw values zone by zone; pin values bracket each inner zone
-    vals = {}
-    bounds = [None] + sorted(pinvals) + [None]
-    for zlo, zhi in zip(bounds, bounds[1:]):
-        zone = [
-            x
-            for x in kept
-            if x not in pinvals
-            and (zlo is None or x > zlo)
-            and (zhi is None or x < zhi)
-        ]
-        if zlo is not None and zhi is not None:
-            qlo, qhi = pinvals[zlo], pinvals[zhi]
-            cap = qhi - qlo - 1
-            zone = sorted(rng.sample(zone, min(len(zone), cap)))
-            vals.update(zip(zone, sorted(rng.sample(range(qlo + 1, qhi), len(zone)))))
-        elif zhi is not None:
-            v = pinvals[zhi]
-            for x in reversed(zone):
-                v -= rng.randint(1, 2)
-                vals[x] = v
-        else:
-            v = pinvals[zlo] if zlo is not None else -w + rng.randint(-3, 1)
-            for x in zone:
-                v += rng.randint(1, 2)
-                vals[x] = v
-    vals.update(pinvals)
+    def draw(rng):
+        interior = [x for x in inner if rng.random() >= 0.25]
+        # tail anchors clear of every pin value, then an arbitrary injective middle
+        spread = len(interior) + always
+        vleft = anchor_lo - spread - rng.randint(1, 3)
+        vright = anchor_hi + spread + rng.randint(1, 3)
+        pool = [v for v in range(vleft + 1, vright) if v not in taken]
+        mid = dict(pinvals)
+        mid.update(zip(interior, rng.sample(pool, len(interior))))
+        return _almost.make_almost(-w, vleft + w, w, vright - w, mid)
 
-    raw = [(NEG_INF, -w, vals[-w] + w), (w, POS_INF, vals[w] - w)]
-    raw.extend((x, x, vals[x] - x) for x in vals if -w < x < w)
-    return normalize(raw)
-
-
-def _sample_w_almost(nbhd, rng):
-    c = nbhd.center
-    w = _extent(c, nbhd.pins) + 4
-    pinvals = {x: c(x) for x in nbhd.pins}
-    kept = _kept_points(c, pinvals, w, rng)
-    interior = [x for x in kept if -w < x < w and x not in pinvals]
-
-    # tail anchors clear of every pin value, then arbitrary injective middle
-    anchor_lo = min(pinvals.values(), default=0)
-    anchor_hi = max(pinvals.values(), default=0)
-    vleft = anchor_lo - len(kept) - rng.randint(1, 3)
-    vright = anchor_hi + len(kept) + rng.randint(1, 3)
-    pool = [v for v in range(vleft + 1, vright) if v not in pinvals.values()]
-    chosen = rng.sample(pool, len(interior))
-    mid = dict(pinvals)
-    mid.update(zip(interior, chosen))
-    mid = {x: v for x, v in mid.items() if -w < x < w}
-    return _almost.make_almost(-w, vleft + w, w, vright - w, mid)
+    return draw
 
 
 def _perm_of_cofinite(gaps, moved: dict) -> _almost.AlmostMonotoneElement:
@@ -300,8 +329,8 @@ def _perm_of_cofinite(gaps, moved: dict) -> _almost.AlmostMonotoneElement:
     return _almost.make_almost(d, 0, u, 0, mid)
 
 
-def _random_perm(points, rng):
-    pts = sorted(points)
+def _random_perm(pts, rng):
+    """A random permutation of at most 4 of the increasing points ``pts``, without fixed points."""
     n = rng.randint(0, min(4, len(pts)))
     chosen = rng.sample(pts, n)
     img = chosen[:]
@@ -309,16 +338,20 @@ def _random_perm(points, rng):
     return {x: y for x, y in zip(chosen, img) if x != y}
 
 
-def _sample_h_member(nbhd, rng):
+def _h_plan(nbhd):
     c = _almost.as_almost(nbhd.center)
     w = _extent(c, nbhd.pins) + 3
-    dom_pool = [x for x in range(-w, w + 1) if x in c and x not in nbhd.pins]
     pin_images = {c(x) for x in nbhd.pins}
-    cinv = _almost.inverse_almost(c)
-    ran_pool = [y for y in range(-w, w + 1) if y in cinv and y not in pin_images]
-    sigma = _perm_of_cofinite(c.dom_gaps(), _random_perm(dom_pool, rng))
-    rho = _perm_of_cofinite(c.ran_gaps(), _random_perm(ran_pool, rng))
-    return _almost.compose_almost(_almost.compose_almost(sigma, c), rho)
+    dom_pool = [x for x in _window_points(c, w) if x not in nbhd.pins]
+    ran_pool = [y for y in _window_points(_almost.inverse_almost(c), w) if y not in pin_images]
+    dom_gaps, ran_gaps = c.dom_gaps(), c.ran_gaps()
+
+    def draw(rng):
+        sigma = _perm_of_cofinite(dom_gaps, _random_perm(dom_pool, rng))
+        rho = _perm_of_cofinite(ran_gaps, _random_perm(ran_pool, rng))
+        return _almost.compose_almost(_almost.compose_almost(sigma, c), rho)
+
+    return draw
 
 
 # -- randomized audits ---------------------------------------------------------------

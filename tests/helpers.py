@@ -434,3 +434,113 @@ def ref_extent(elem, pins=()) -> int:
     for k, v in elem.middle.items():
         m = max(m, abs(k), abs(v))
     return m
+
+
+# -- point-by-point member samplers --------------------------------------------------
+#
+# topology.sample_member as it was before the per-neighborhood plans: every draw
+# recomputes the window and the pin values, walks [-w, w] testing membership
+# point by point, and builds a monotone result through normalize.  The planned
+# draws must consume the rng exactly as these do and return the same members.
+
+
+def ref_kept_points(c, pinvals, w, rng):
+    kept = []
+    for x in range(-w, w + 1):
+        if x not in c:
+            continue
+        if x in pinvals or x in (-w, w) or rng.random() >= 0.25:
+            kept.append(x)
+    return kept
+
+
+def ref_sample_w_monotone(nbhd, rng):
+    c = nbhd.center
+    w = ref_extent(c, nbhd.pins) + 4
+    pinvals = {x: c(x) for x in nbhd.pins}
+    kept = ref_kept_points(c, pinvals, w, rng)
+    vals = {}
+    bounds = [None] + sorted(pinvals) + [None]
+    for zlo, zhi in zip(bounds, bounds[1:]):
+        zone = [
+            x
+            for x in kept
+            if x not in pinvals
+            and (zlo is None or x > zlo)
+            and (zhi is None or x < zhi)
+        ]
+        if zlo is not None and zhi is not None:
+            qlo, qhi = pinvals[zlo], pinvals[zhi]
+            cap = qhi - qlo - 1
+            zone = sorted(rng.sample(zone, min(len(zone), cap)))
+            vals.update(zip(zone, sorted(rng.sample(range(qlo + 1, qhi), len(zone)))))
+        elif zhi is not None:
+            v = pinvals[zhi]
+            for x in reversed(zone):
+                v -= rng.randint(1, 2)
+                vals[x] = v
+        else:
+            v = pinvals[zlo] if zlo is not None else -w + rng.randint(-3, 1)
+            for x in zone:
+                v += rng.randint(1, 2)
+                vals[x] = v
+    vals.update(pinvals)
+    raw = [(NEG_INF, -w, vals[-w] + w), (w, POS_INF, vals[w] - w)]
+    raw.extend((x, x, vals[x] - x) for x in vals if -w < x < w)
+    return normalize(raw)
+
+
+def ref_sample_w_almost(nbhd, rng):
+    c = nbhd.center
+    w = ref_extent(c, nbhd.pins) + 4
+    pinvals = {x: c(x) for x in nbhd.pins}
+    kept = ref_kept_points(c, pinvals, w, rng)
+    interior = [x for x in kept if -w < x < w and x not in pinvals]
+    anchor_lo = min(pinvals.values(), default=0)
+    anchor_hi = max(pinvals.values(), default=0)
+    vleft = anchor_lo - len(kept) - rng.randint(1, 3)
+    vright = anchor_hi + len(kept) + rng.randint(1, 3)
+    pool = [v for v in range(vleft + 1, vright) if v not in pinvals.values()]
+    chosen = rng.sample(pool, len(interior))
+    mid = dict(pinvals)
+    mid.update(zip(interior, chosen))
+    mid = {x: v for x, v in mid.items() if -w < x < w}
+    return make_almost(-w, vleft + w, w, vright - w, mid)
+
+
+def _ref_perm_of_cofinite(gaps, moved: dict):
+    pts = set(moved) | set(gaps)
+    if not pts:
+        return make_almost(0, 0, 1, 0, {})
+    d, u = min(pts) - 1, max(pts) + 1
+    mid = {x: moved.get(x, x) for x in range(d + 1, u) if x not in gaps}
+    return make_almost(d, 0, u, 0, mid)
+
+
+def _ref_random_perm(points, rng):
+    pts = sorted(points)
+    n = rng.randint(0, min(4, len(pts)))
+    chosen = rng.sample(pts, n)
+    img = chosen[:]
+    rng.shuffle(img)
+    return {x: y for x, y in zip(chosen, img) if x != y}
+
+
+def ref_sample_h_member(nbhd, rng):
+    c = _ref_as_almost(nbhd.center)
+    w = ref_extent(c, nbhd.pins) + 3
+    dom_pool = [x for x in range(-w, w + 1) if x in c and x not in nbhd.pins]
+    pin_images = {c(x) for x in nbhd.pins}
+    cinv = ref_inverse_almost(c)
+    ran_pool = [y for y in range(-w, w + 1) if y in cinv and y not in pin_images]
+    sigma = _ref_perm_of_cofinite(c.dom_gaps(), _ref_random_perm(dom_pool, rng))
+    rho = _ref_perm_of_cofinite(c.ran_gaps(), _ref_random_perm(ran_pool, rng))
+    return ref_compose_almost(ref_compose_almost(sigma, c), rho)
+
+
+def ref_sample_member(nbhd, rng):
+    if nbhd.flavor == "H":
+        return ref_sample_h_member(nbhd, rng)
+    if isinstance(nbhd.center, MonotoneElement):
+        return ref_sample_w_monotone(nbhd, rng)
+    return ref_sample_w_almost(nbhd, rng)

@@ -104,3 +104,20 @@ def test_collapse_cache_counts_repeated_collapses():
     after = core._collapse_cached.cache_info()
     assert after.hits == before.hits + 2
     assert after.misses == before.misses
+
+
+def test_audits_draw_every_member_through_sample_member(monkeypatch):
+    # the tracer's topology.sample count wraps sample_member, so each audit draw must pass through it
+    from cofinj import topology
+
+    calls = []
+    draw = topology.sample_member
+
+    def counted(nbhd, rng):
+        calls.append(nbhd.center)
+        return draw(nbhd, rng)
+
+    monkeypatch.setattr(topology, "sample_member", counted)
+    a, b = random_element(7, 2, 2), random_element(8, 2, 2)
+    assert topology.audit_product_cover(a, b, (), random.Random(0), samples=3)
+    assert calls == [a, b] * 3
