@@ -62,21 +62,15 @@ class AlmostMonotoneElement(_PieceMap):
     __slots__ = ("pieces",)
 
     def __init__(self, left_end, left_offset, right_start, right_offset, middle):
-        mid = _checked_middle(left_end, left_offset, right_start, right_offset, middle)
-        if mid.get(left_end + 1) == left_end + 1 + left_offset:
-            raise InvalidElementError("window not minimal: left tail extends")
-        if mid.get(right_start - 1) == right_start - 1 + right_offset:
-            raise InvalidElementError("window not minimal: right tail extends")
-        if (
-            not mid
-            and left_offset == right_offset
-            and right_start == left_end + 1
-            and (left_end, right_start) != (0, 1)
-        ):
-            raise InvalidElementError("a total translation must use the window (0, 1)")
-        object.__setattr__(
-            self, "pieces", _window_pieces(left_end, left_offset, right_start, right_offset, mid)
-        )
+        pieces = _checked_pieces(left_end, left_offset, right_start, right_offset, middle)
+        object.__setattr__(self, "pieces", pieces)
+        # merging absorbs every middle point that continues a tail, so the
+        # window read back off the pieces is the minimal one
+        if (self.left_end, self.right_start) != (left_end, right_start):
+            raise InvalidElementError(
+                f"window ({left_end}, {right_start}) is not minimal: "
+                f"the map's window is ({self.left_end}, {self.right_start})"
+            )
 
     @classmethod
     def _trusted(cls, pieces) -> "AlmostMonotoneElement":
@@ -132,9 +126,6 @@ class AlmostMonotoneElement(_PieceMap):
 
     # -- equality and text ----------------------------------------------------
 
-    def _key(self):
-        return self.pieces
-
     def __eq__(self, other):
         if isinstance(other, AlmostMonotoneElement):
             return self.pieces == other.pieces
@@ -170,8 +161,8 @@ def _middle_dict(middle) -> dict:
     return mid
 
 
-def _checked_middle(d, dl, u, ur, middle) -> dict:
-    """The validated middle of a window with tails x -> x + dl up to d and x -> x + ur from u."""
+def _checked_pieces(d, dl, u, ur, middle) -> tuple:
+    """Maximal pieces of a window with tails x -> x + dl up to d and x -> x + ur from u, validated."""
     mid = _middle_dict(middle)
     for v in (d, dl, u, ur):
         if not _is_int(v):
@@ -191,11 +182,6 @@ def _checked_middle(d, dl, u, ur, middle) -> dict:
         if v in seen:
             raise InvalidElementError(f"middle is not injective: value {v} repeated")
         seen.add(v)
-    return mid
-
-
-def _window_pieces(d, dl, u, ur, mid) -> tuple:
-    """Maximal pieces of a validated window: the tails and the middle points, merged."""
     raw = [(NEG_INF, d, dl)]
     raw += [(k, k, v - k) for k, v in sorted(mid.items())]
     raw.append((u, POS_INF, ur))
@@ -209,9 +195,8 @@ def make_almost(left_end, left_offset, right_start, right_offset, middle) -> Alm
     the pieces absorbs middle points that continue a tail, so the result is
     canonical without a second check.
     """
-    mid = _checked_middle(left_end, left_offset, right_start, right_offset, middle)
     return AlmostMonotoneElement._trusted(
-        _window_pieces(left_end, left_offset, right_start, right_offset, mid)
+        _checked_pieces(left_end, left_offset, right_start, right_offset, middle)
     )
 
 
@@ -269,49 +254,44 @@ def inverse_almost(a) -> AlmostMonotoneElement:
 # -- minimal exception sets ------------------------------------------------------
 
 
-def _lis_above(vals, start, floor):
-    """Length of the longest increasing subsequence of vals[start:] staying above floor."""
-    best = {}
-    out = 0
-    for j in range(start, len(vals)):
-        if vals[j] <= floor:
-            continue
-        b = 1
-        for i, bi in best.items():
-            if vals[i] < vals[j] and bi + 1 > b:
-                b = bi + 1
-        best[j] = b
-        if b > out:
-            out = b
-    return out
-
-
 def minimal_exceptions(elem) -> frozenset:
     """A minimum-cardinality set of domain points whose removal leaves the map monotone.
 
     Only middle points can take part in an order violation (tail images bracket
-    every middle value), so this is middle size minus the longest increasing
-    run of middle values.  Among all minimum witnesses the lexicographically
-    smallest removed-point set is returned, found greedily left to right.
+    every middle value), so the kept points are a longest increasing run of
+    middle values.  A backward pass gives each middle point its run, the
+    length of the longest increasing run of middle values that starts there.
+    One forward pass then keeps, for each run length still needed, the last
+    point that starts a run of that length above the values kept so far:
+    every point it passes over is removed as early as possible, so among all
+    minimum witnesses this removes the lexicographically smallest set.
+    Quadratic in the middle points.
     """
     if isinstance(elem, MonotoneElement):
         return frozenset()
-    mid = elem.middle
-    keys = list(mid)
-    vals = list(mid.values())
-    n = len(vals)
-    budget = n - _lis_above(vals, 0, NEG_INF)
-    removed = []
+    later = []  # (value, run) of the points after the current one
+    points = []  # (point, value, run, value of the next point with that run), last point first
+    next_of_run = {}
+    for k, v in reversed(elem.middle.items()):
+        r = 1
+        for w, s in later:
+            if w > v and s >= r:
+                r = s + 1
+        later.append((v, r))
+        points.append((k, v, r, next_of_run.get(r, NEG_INF)))
+        next_of_run[r] = v
+    # every run length up to the longest occurs; points of one run length
+    # have decreasing values, so a point is the last one above the floor
+    # exactly when the next point of its run length is not
+    need = len(next_of_run)
     floor = NEG_INF
-    for i in range(n):
-        rest = n - i - 1
-        if budget > 0 and _lis_above(vals, i + 1, floor) >= rest - (budget - 1):
-            removed.append(keys[i])
-            budget -= 1
+    removed = []
+    for k, v, r, after in reversed(points):
+        if r == need and v > floor >= after:
+            floor = v
+            need -= 1
         else:
-            assert vals[i] > floor
-            floor = vals[i]
-    assert budget == 0
+            removed.append(k)
     return frozenset(removed)
 
 
@@ -322,10 +302,9 @@ def monotonizers(elem):
     accordingly, and the third is their meet; composing on the matching side
     always lands back in the monotone monoid.
     """
-    a = as_almost(elem)
-    exc = minimal_exceptions(a)
-    left = IdempotentGaps(a.dom_gaps() | exc)
-    right = IdempotentGaps(a.ran_gaps() | {a(x) for x in exc})
+    exc = minimal_exceptions(elem)
+    left = IdempotentGaps(elem.dom_gaps() | exc)
+    right = IdempotentGaps(elem.ran_gaps() | {elem(x) for x in exc})
     return left, right, left.meet(right)
 
 
@@ -342,13 +321,12 @@ class UnitDecomposition(NamedTuple):
 
 def unit_decompose(elem) -> UnitDecomposition:
     """Split a unit (total bijective element) into its permutation and shift parts."""
-    a = as_almost(elem)
-    k = a.left_offset
-    if a._dom_runs() or a.right_offset != k:
+    k = elem.left_offset
+    if elem._dom_runs() or elem.right_offset != k:
         raise InvalidElementError("element is not a unit")
     # the tails move by k, so the support lies in the pieces with another offset
     support = tuple(
-        (x, x + off - k) for lo, hi, off in a.pieces if off != k for x in range(lo, hi + 1)
+        (x, x + off - k) for lo, hi, off in elem._pieces() if off != k for x in range(lo, hi + 1)
     )
     return UnitDecomposition(support, k)
 

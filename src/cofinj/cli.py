@@ -26,19 +26,20 @@ def _json_value(v):
         return {"type": "bool", "value": v}
     if isinstance(v, int):
         return {"type": "int", "value": v}
-    if isinstance(v, MonotoneElement):
-        return {
-            "type": "monotone",
-            "segments": [
-                {
-                    "lo": "-inf" if lo == NEG_INF else lo,
-                    "hi": "+inf" if hi == POS_INF else hi,
-                    "offset": off,
-                }
-                for lo, hi, off in v.segments
-            ],
-        }
-    if isinstance(v, _almost.AlmostMonotoneElement):
+    if exprlang._is_element(v):
+        v = _almost.canonicalize(v)
+        if isinstance(v, MonotoneElement):
+            return {
+                "type": "monotone",
+                "segments": [
+                    {
+                        "lo": "-inf" if lo == NEG_INF else lo,
+                        "hi": "+inf" if hi == POS_INF else hi,
+                        "offset": off,
+                    }
+                    for lo, hi, off in v.segments
+                ],
+            }
         return {
             "type": "almost",
             "d": v.left_end,
@@ -51,7 +52,7 @@ def _json_value(v):
         return {
             "type": "neighborhood",
             "flavor": v.flavor,
-            "center": _json_value(_almost.canonicalize(v.center)),
+            "center": _json_value(v.center),
             "pins": sorted(v.pins),
         }
     if isinstance(v, tuple) and len(v) == 2:
@@ -66,7 +67,7 @@ def _json_value(v):
 
 def render_value(v, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(_json_value(_almost.canonicalize(v) if exprlang._is_element(v) else v))
+        return json.dumps(_json_value(v))
     return format_value(v)
 
 

@@ -56,7 +56,7 @@ _TOKEN_SPEC = [
     ("PRED", r"~(?:mg|R|L|H)"),
     ("LEQ", r"<="),
     ("NAME", r"[A-Za-z_][A-Za-z_0-9]*"),
-    ("INT", r"-?\d+"),
+    ("INT", r"[+-]?\d+"),
     ("OP", r"[*(),;={}?]"),
     ("WS", r"\s+"),
 ]

@@ -18,8 +18,11 @@ certified by explicit pin constructions plus randomized membership audits:
   (U_g(source))^-1 inside U_{g^-1}(target).  Besides (F)g-style pins, the
   source must pin the two domain neighbors around each maximal run of range
   gaps of g: their images bracket the run between consecutive values, so no
-  member of the pinned set can reach it, which is what keeps inverted
-  domains inside ran(g).
+  monotone member of the pinned set can reach it, which is what keeps
+  inverted domains inside ran(g).  The brackets keep only monotone members
+  out: for an almost-monotone g with range gaps, an almost-monotone member
+  may send an unpinned point into one, and ``audit_inverse_cover`` then
+  reports a failure.
 
 All of these read gap sets as sorted maximal (lo, hi) runs and elements as
 their translation pieces, so membership, the covers and ``separate`` cost
@@ -42,8 +45,6 @@ from .core import (
     MonotoneElement,
     NEG_INF,
     POS_INF,
-    Segment,
-    _check_canonical,
     _is_int,
     _overlaps,
     _runs_within,
@@ -146,7 +147,9 @@ def inverse_cover(g, pins):
     """Pin sets (source, target) with (U_g(source))^-1 contained in U_{g^-1}(target).
 
     The source is the pins plus the preimages of the two range points
-    around each maximal run of range gaps of g.
+    around each maximal run of range gaps of g.  Those brackets keep only
+    monotone members out of g's range gaps, so for an almost-monotone g with
+    range gaps the containment holds for the monotone members alone.
     """
     pins = frozenset(pins)
     for x in pins:
@@ -283,16 +286,9 @@ def _w_monotone_plan(nbhd):
                     vals[x] = v
         raw = [(NEG_INF, -w, vals.pop(-w) + w), (w, POS_INF, vals.pop(w) - w)]
         raw += [(x, x, v - x) for x, v in vals.items()]
-        return _checked_monotone(raw)
+        return MonotoneElement(_kernel.merge_pieces(sorted(raw)))
 
     return draw
-
-
-def _checked_monotone(raw) -> MonotoneElement:
-    """The element of (lo, hi, offset) pieces with distinct starts, checked as ``normalize`` checks."""
-    segs = tuple(map(Segment._make, _kernel.merge_pieces(sorted(raw))))
-    _check_canonical(segs)
-    return MonotoneElement._trusted(segs)
 
 
 def _w_almost_plan(nbhd):

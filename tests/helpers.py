@@ -71,6 +71,47 @@ def brute_minimal_exceptions(middle: dict) -> frozenset:
     raise AssertionError("unreachable")
 
 
+def _lis_above(vals, start, floor):
+    """Length of the longest increasing subsequence of vals[start:] staying above floor."""
+    best = {}
+    out = 0
+    for j in range(start, len(vals)):
+        if vals[j] <= floor:
+            continue
+        b = 1
+        for i, bi in best.items():
+            if vals[i] < vals[j] and bi + 1 > b:
+                b = bi + 1
+        best[j] = b
+        if b > out:
+            out = b
+    return out
+
+
+def ref_minimal_exceptions(middle: dict) -> frozenset:
+    """The same witness as ``brute_minimal_exceptions``, by a cubic greedy that scales further.
+
+    Left to right, a point is removed whenever the points after it can still
+    make up a longest increasing run above the values kept so far.
+    """
+    keys = sorted(middle)
+    vals = [middle[k] for k in keys]
+    n = len(vals)
+    budget = n - _lis_above(vals, 0, NEG_INF)
+    removed = []
+    floor = NEG_INF
+    for i in range(n):
+        rest = n - i - 1
+        if budget > 0 and _lis_above(vals, i + 1, floor) >= rest - (budget - 1):
+            removed.append(keys[i])
+            budget -= 1
+        else:
+            assert vals[i] > floor
+            floor = vals[i]
+    assert budget == 0
+    return frozenset(removed)
+
+
 def enumerate_monotone(dom_positions, max_dom, ran_positions, max_ran, offsets):
     """Every canonical element with gap sets inside the given position pools.
 

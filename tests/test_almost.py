@@ -23,7 +23,14 @@ from cofinj.almost import (
     unit_recompose,
 )
 
-from helpers import assert_same_on_window, brute_minimal_exceptions, compose_maps, window_bound, window_map
+from helpers import (
+    assert_same_on_window,
+    brute_minimal_exceptions,
+    compose_maps,
+    ref_minimal_exceptions,
+    window_bound,
+    window_map,
+)
 
 
 SCRAMBLE = make_almost(0, 0, 6, 0, {1: 5, 2: 3, 3: 4})
@@ -68,6 +75,58 @@ def test_make_scramble_valid_but_not_monotone():
 def test_make_rejects(args):
     with pytest.raises(InvalidElementError):
         make_almost(*args)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (0, 0, 4, 0, {1: 1, 2: 3}),  # 1 -> 1 continues the left tail
+        (0, 0, 4, 0, {2: 1, 3: 3}),  # 3 -> 3 continues the right tail
+        (5, 2, 6, 2, {}),  # a total translation away from the window (0, 1)
+        (-1, 2, 1, 2, {0: 2}),  # a total translation through its middle
+    ],
+)
+def test_constructor_rejects_windows_that_are_not_minimal(args):
+    with pytest.raises(InvalidElementError):
+        AlmostMonotoneElement(*args)
+    minimal = make_almost(*args)
+    assert AlmostMonotoneElement(
+        minimal.left_end, minimal.left_offset, minimal.right_start, minimal.right_offset, minimal.middle
+    ) == minimal
+
+
+def test_constructor_accepts_the_translation_window():
+    t = AlmostMonotoneElement(0, 2, 1, 2, {})
+    assert t == make_almost(5, 2, 6, 2, {}) and (t.left_end, t.right_start) == (0, 1)
+    assert AlmostMonotoneElement(0, 0, 1, 0, {}) == almost_identity()
+
+
+def test_constructor_accepts_exactly_the_minimal_windows():
+    # the reference rule: neither tail extends into the window, and a total
+    # translation uses the window (0, 1)
+    rng = random.Random(11)
+    rejected = 0
+    for _ in range(3000):
+        d, dl, ur = rng.randint(-3, 0), rng.randint(-1, 1), rng.randint(-1, 1)
+        u = rng.randint(d + 1, 4)
+        if d + dl >= u + ur:
+            continue
+        slots, values = range(d + 1, u), range(d + dl + 1, u + ur)
+        n = rng.randint(0, min(len(slots), len(values)))
+        mid = dict(zip(rng.sample(slots, n), rng.sample(values, n)))
+        minimal = (
+            mid.get(d + 1) != d + 1 + dl
+            and mid.get(u - 1) != u - 1 + ur
+            and (mid or dl != ur or u != d + 1 or (d, u) == (0, 1))
+        )
+        try:
+            AlmostMonotoneElement(d, dl, u, ur, mid)
+        except InvalidElementError:
+            rejected += 1
+            assert not minimal, (d, dl, u, ur, mid)
+        else:
+            assert minimal, (d, dl, u, ur, mid)
+    assert 100 < rejected < 2500
 
 
 def test_repeated_middle_point_is_rejected_like_the_parser():
@@ -184,6 +243,24 @@ def test_minimal_exceptions_matches_brute_force():
     for _ in range(400):
         a = random_almost(rng, max_offset=2, window=4, max_middle=7)
         assert minimal_exceptions(a) == brute_minimal_exceptions(a.middle), a
+
+
+def test_minimal_exceptions_matches_the_greedy_on_wide_middles():
+    # up to 40 middle points, past the reach of the exhaustive search; half of
+    # the middles are increasing runs with a few points swapped
+    rng = random.Random(10)
+    for t in range(1000):
+        n = rng.randint(0, 40)
+        keys = rng.sample(range(1, 100), n)
+        vals = sorted(rng.sample(range(1, 100), n))
+        if t % 2:
+            for _ in range(rng.randint(0, 4) if n else 0):
+                i, j = rng.randrange(n), rng.randrange(n)
+                vals[i], vals[j] = vals[j], vals[i]
+        else:
+            rng.shuffle(vals)
+        a = make_almost(0, 0, 100, 0, dict(zip(sorted(keys), vals)))
+        assert minimal_exceptions(a) == ref_minimal_exceptions(a.middle), a
 
 
 def test_monotonizer_products_are_monotone():

@@ -131,12 +131,12 @@ def _pairs(rng):
 def _assert_trusted_almost(got):
     assert type(got) is AlmostMonotoneElement
     rebuilt = AlmostMonotoneElement(got.left_end, got.left_offset, got.right_start, got.right_offset, got.middle)
-    assert rebuilt == got and rebuilt._key() == got._key()
+    assert rebuilt == got and rebuilt.pieces == got.pieces
 
 
 def _assert_same_almost(got, want):
     _assert_trusted_almost(got)
-    assert got._key() == want._key(), (got, want)
+    assert got.pieces == want.pieces, (got, want)
 
 
 def _piece_value(pieces, x):

@@ -51,6 +51,26 @@ def test_json_format_other_values(capsys):
     assert data["type"] == "almost" and data["middle"] == [[1, 5], [2, 3]]
 
 
+IDENTITY_JSON = {"type": "monotone", "segments": [{"lo": "-inf", "hi": "+inf", "offset": 0}]}
+
+
+def test_json_canonicalizes_elements_inside_pairs_and_sets(capsys):
+    # a monotone am[...] value prints as segments wherever it sits, as in text
+    rc, out, _ = run_cli(capsys, "--eval", "(am[d=0,L=0,u=1,R=0;], id)", "--format", "json")
+    assert rc == 0 and json.loads(out) == {"type": "pair", "items": [IDENTITY_JSON, IDENTITY_JSON]}
+    stmt = "{(am[d=0,L=0,u=1,R=0;], E{0}), (id, am[d=0,L=0,u=3,R=0; 1->2, 2->1])}"
+    rc, out, _ = run_cli(capsys, "--eval", stmt)
+    assert rc == 0 and out == "{(id, E{0}), (id, am[d=0,L=0,u=3,R=0; 1->2, 2->1])}\n"
+    rc, out, _ = run_cli(capsys, "--eval", stmt, "--format", "json")
+    first, second = json.loads(out)["items"]
+    gap = {
+        "type": "monotone",
+        "segments": [{"lo": "-inf", "hi": -1, "offset": 0}, {"lo": 1, "hi": "+inf", "offset": 0}],
+    }
+    assert first == {"type": "pair", "items": [IDENTITY_JSON, gap]}
+    assert second["items"][0] == IDENTITY_JSON and second["items"][1]["type"] == "almost"
+
+
 def test_format_dot_is_rejected(capsys):
     # DOT output comes only from --eggbox
     with pytest.raises(SystemExit) as exc:

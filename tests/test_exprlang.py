@@ -39,6 +39,16 @@ def test_parse_errors_carry_position():
         parse("")
 
 
+def test_integers_take_a_leading_plus(ev):
+    assert ev.run("shift(+3)") == shift(3)
+    assert ev.run("nbhd(id; +1)") == ev.run("nbhd(id; 1)")
+    assert ev.run("h(shift(+3) * shift(-1))") == (2, 2)
+    assert ev.run("+7") == 7
+    # as in the literals that already took it
+    assert ev.run("a+(+1)") == ev.run("a+(1)")
+    assert ev.run("am[d=0,L=+0,u=+3,R=0; +1->+2, 2->1]") == ev.run("am[d=0,L=0,u=3,R=0; 1->2, 2->1]")
+
+
 def test_predicates(ev):
     assert ev.run("E{0,5} <= E{0}") is True
     assert ev.run("E{0} <= E{0,5}") is False

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from cofinj import _kernel
 from cofinj import almost as am
 from cofinj import topology
 from cofinj.core import (
@@ -100,15 +101,27 @@ def test_audits_keep_their_verdicts_and_rng_use(monkeypatch):
     assert not all(verdict for verdict, _, holds in got if not holds)
 
 
-def test_sampler_output_is_checked_like_normalize():
+def _sampler_element(raw):
+    # how a monotone W draw builds its member from (lo, hi, offset) pieces with distinct starts
+    return MonotoneElement(_kernel.merge_pieces(sorted(raw)))
+
+
+def test_sampler_output_is_checked_like_normalize(monkeypatch):
     good = [(5, POS_INF, 2), (NEG_INF, -4, 0), (2, 2, 1), (0, 0, 1), (1, 1, 1)]
-    assert topology._checked_monotone(good).segments == normalize(good).segments
+    assert _sampler_element(good).segments == normalize(good).segments
     # an image out of order: 0 lands past the image of 4, and 1 below the image of 0
-    for bad in ([(NEG_INF, -4, 0), (0, 0, 9), (4, POS_INF, 2)], [(NEG_INF, 0, 0), (1, 1, -2), (2, POS_INF, 0)]):
+    bads = ([(NEG_INF, -4, 0), (0, 0, 9), (4, POS_INF, 2)], [(NEG_INF, 0, 0), (1, 1, -2), (2, POS_INF, 0)])
+    for bad in bads:
         with pytest.raises(InvalidElementError):
             normalize(bad)
         with pytest.raises(InvalidElementError):
-            topology._checked_monotone(bad)
+            _sampler_element(bad)
+    # a real draw checks what it builds: handed these pieces, it raises
+    for bad in bads:
+        nb = BasicNeighborhood(shift(0), [0])
+        monkeypatch.setattr(_kernel, "merge_pieces", lambda raw, bad=bad: bad)
+        with pytest.raises(InvalidElementError):
+            sample_member(nb, random.Random(0))
 
 
 # -- copy and pickle ---------------------------------------------------------------
