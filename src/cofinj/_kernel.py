@@ -3,8 +3,10 @@
 Segments are (lo, hi, offset) triples with float infinities allowed at the
 outer ends.  Monotone ``*`` passes two canonical segment lists; almost-monotone
 composition passes the left factor's translation pieces sorted by image.
-:func:`merge_pieces` is the one merge loop for all code that builds pieces.
-All arithmetic is on Python ints, so it is exact at any width.
+:func:`compose_segments` is one loop: it merges each piece into the previous
+output piece as it emits it.  :func:`merge_pieces` is the merge loop for the
+other code that builds pieces.  All arithmetic is on Python ints, so it is
+exact at any width.
 """
 
 
@@ -17,13 +19,14 @@ def compose_segments(a, b):
     """Segments of the composite map 'a then b', merged where consecutive.
 
     ``a`` must be sorted by image and ``b`` by domain, each disjoint.  The
-    output follows a's order; pieces adjacent in it with one offset and
-    touching domains are merged, which for canonical monotone input gives
-    canonical form.
+    output follows a's order; a piece that touches the previous output piece
+    and shares its offset is merged into it as it is emitted, which for
+    canonical monotone input gives canonical form.
     """
     out = []
     j = 0
     nb = len(b)
+    plo = phi = poff = None  # the last output piece
     for lo, hi, off in a:
         ilo = lo + off
         ihi = hi + off
@@ -32,19 +35,27 @@ def compose_segments(a, b):
         k = j
         while k < nb and b[k][0] <= ihi:
             blo, bhi, boff = b[k]
-            s_lo = ilo if ilo > blo else blo
-            s_hi = ihi if ihi < bhi else bhi
+            s_lo = (ilo if ilo > blo else blo) - off
+            s_hi = (ihi if ihi < bhi else bhi) - off
             if s_lo <= s_hi:
-                out.append((s_lo - off, s_hi - off, off + boff))
+                o = off + boff
+                if o == poff and phi + 1 == s_lo:
+                    out[-1] = (plo, s_hi, o)
+                else:
+                    out.append((s_lo, s_hi, o))
+                    plo = s_lo
+                    poff = o
+                phi = s_hi
             k += 1
-    return merge_pieces(out)
+    return out
 
 
 def merge_pieces(pieces):
     """The pieces with each run of neighbours that touch and share an offset merged into one.
 
-    All code that builds translation pieces ends here: the composite above, an
-    almost-monotone window and a map extended by finitely many points.
+    The code that builds translation pieces outside the kernel ends here: an
+    almost-monotone window, a map extended by finitely many points, and an
+    almost-monotone composite sorted back by domain.
     """
     merged = []
     for lo, hi, off in pieces:

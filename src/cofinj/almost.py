@@ -44,7 +44,7 @@ from .core import (
     IdempotentGaps,
     InvalidElementError,
     MonotoneElement,
-    Segment,
+    _from_pieces,
     _inverted,
     _is_int,
     _PieceMap,
@@ -135,8 +135,10 @@ class AlmostMonotoneElement(_PieceMap):
         return hash(self.pieces)
 
     def to_text(self) -> str:
-        pairs = ", ".join(f"{k}->{v}" for k, v in self.middle.items())
-        body = f"d={self.left_end},L={self.left_offset},u={self.right_start},R={self.right_offset}"
+        p = self.pieces
+        d, u = (p[0][1], p[-1][0]) if len(p) > 1 else (0, 1)
+        body = f"d={d},L={p[0][2]},u={u},R={p[-1][2]}"
+        pairs = ", ".join([f"{x}->{x + off}" for lo, hi, off in p[1:-1] for x in range(lo, hi + 1)])
         return f"am[{body}; {pairs}]" if pairs else f"am[{body};]"
 
 
@@ -210,7 +212,7 @@ def to_monotone(elem: AlmostMonotoneElement) -> MonotoneElement:
     if not elem.is_monotone():
         raise InvalidElementError("element is not monotone")
     # maximal pieces with increasing images are exactly the canonical segments
-    return MonotoneElement._trusted(tuple(map(Segment._make, elem.pieces)))
+    return _from_pieces(elem.pieces)
 
 
 def as_almost(elem) -> AlmostMonotoneElement:
@@ -234,6 +236,11 @@ def _image_lo(piece):
     return piece[0] + piece[2]
 
 
+def _by_image(a) -> list:
+    """a's pieces sorted by image, as the segment kernel takes a left factor."""
+    return sorted(a._pieces(), key=_image_lo)
+
+
 def compose_almost(a, b) -> AlmostMonotoneElement:
     """a then b, pointwise identical to the monotone composition; either may be monotone.
 
@@ -241,7 +248,12 @@ def compose_almost(a, b) -> AlmostMonotoneElement:
     pieces; the kernel's output, sorted back by domain and merged, is the
     result.
     """
-    out = _kernel.compose_segments(sorted(a._pieces(), key=_image_lo), b._pieces())
+    return _compose_by_image(_by_image(a), b)
+
+
+def _compose_by_image(a_pieces, b) -> AlmostMonotoneElement:
+    """compose_almost for a left factor given by its pieces sorted by image."""
+    out = _kernel.compose_segments(a_pieces, b._pieces())
     out.sort()
     return AlmostMonotoneElement._trusted(_kernel.merge_pieces(out))
 

@@ -29,13 +29,19 @@ collapses, idempotents and elements with given gaps are built from runs, so
 their cost does not grow with the gap widths.  Points appear only where the
 result is a point set: ``dom_gaps()``, ``ran_gaps()``, ``IdempotentGaps``
 and the ``E{...}`` text.
+
+Every ``*`` is one pass of the segment kernel (:mod:`cofinj._kernel`), which
+merges as it emits, and one C-level wrap of its triples as Segments.  Outside
+data pays a check per segment that runs inline for plain ints; the checks
+and their messages are those of ``_check_segment``, which takes every other
+segment.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, chain, filterfalse
 from operator import itemgetter
 from typing import Iterable, NamedTuple
@@ -86,11 +92,37 @@ def _check_gaps(gaps):
         _check_int(g, "gap positions must be integers")
 
 
+_segment = partial(tuple.__new__, Segment)  # Segment._make without its frame and length check
+
+
+def _segments(raw) -> tuple:
+    """Outside (lo, hi, offset) data as a tuple of Segments, each of length three."""
+    try:
+        segs = tuple(map(_segment, raw))
+    except TypeError:
+        raise InvalidElementError("segments must be an iterable of (lo, hi, offset) triples") from None
+    if {*map(len, segs)} - {3}:
+        bad = next(s for s in segs if len(s) != 3)
+        raise InvalidElementError(f"a segment must be a (lo, hi, offset) triple, got {tuple(bad)!r}")
+    return segs
+
+
+def _check_segments(segs):
+    """The check of every segment; plain ints and the matching infinities pass inline."""
+    for lo, hi, offset in segs:
+        if not (
+            (type(lo) is int or lo == NEG_INF)
+            and (type(hi) is int or hi == POS_INF)
+            and type(offset) is int
+            and lo <= hi
+        ):
+            _check_segment(lo, hi, offset)
+
+
 def _check_canonical(segs):
     if not segs:
         raise InvalidElementError("an element needs at least one segment")
-    for lo, hi, offset in segs:
-        _check_segment(lo, hi, offset)
+    _check_segments(segs)
     if segs[0].lo != NEG_INF:
         raise InvalidElementError("leftmost segment must extend to -inf")
     if segs[-1].hi != POS_INF:
@@ -135,7 +167,7 @@ class _PieceMap:
         return self(x) is not None
 
     def is_idempotent(self) -> bool:
-        return all(o == 0 for _, _, o in self._pieces())
+        return not any(map(_offset, self._pieces()))
 
     def __invert__(self):
         return self.inverse()
@@ -171,6 +203,8 @@ class _PieceMap:
 
 
 _lo = itemgetter(0)
+_lo_hi = itemgetter(0, 1)
+_offset = itemgetter(2)
 
 
 def _gaps_between(intervals) -> list:
@@ -178,8 +212,13 @@ def _gaps_between(intervals) -> list:
     return [(s[1] + 1, t[0] - 1) for s, t in zip(intervals, intervals[1:]) if s[1] + 1 < t[0]]
 
 
+def _run_ints(runs):
+    """The points of sorted (lo, hi) runs, in increasing order."""
+    return chain.from_iterable([range(lo, hi + 1) for lo, hi in runs])
+
+
 def _run_points(runs) -> frozenset:
-    return frozenset(chain.from_iterable([range(lo, hi + 1) for lo, hi in runs]))
+    return frozenset(_run_ints(runs))
 
 
 def _inverted(pieces):
@@ -204,17 +243,20 @@ class MonotoneElement(_PieceMap):
     Outside data is validated once, where it enters: this constructor,
     :func:`normalize`, :func:`parse_element`, :func:`shift`,
     :func:`collapse_element`, :func:`element_from_gaps` and
-    ``IdempotentGaps(...)`` check their arguments.  Results computed from
-    elements that are already canonical (``*``, :meth:`inverse`, collapses,
-    ``IdempotentGaps.to_element``, the bicyclic generators, the solvers'
-    candidates) are canonical by construction and are wrapped by
-    :meth:`_trusted` without a second check.
+    ``IdempotentGaps(...)`` check their arguments.  A segment of plain
+    ints and the matching infinities is checked inline; anything else goes
+    through ``_check_segment``, so every check and every message is the same
+    either way.  Results computed from elements that are already canonical
+    (``*``, :meth:`inverse`, collapses, ``IdempotentGaps.to_element``, the
+    bicyclic generators, the solvers' candidates) are canonical by
+    construction and are wrapped by :meth:`_trusted` without a second check;
+    ``_from_pieces`` turns the kernel's triples into Segments at C level.
     """
 
     __slots__ = ("segments",)
 
     def __init__(self, segments: Iterable[tuple]):
-        segs = tuple(Segment(*s) for s in segments)
+        segs = _segments(segments)
         _check_canonical(segs)
         object.__setattr__(self, "segments", segs)
 
@@ -240,13 +282,12 @@ class MonotoneElement(_PieceMap):
 
     def __mul__(self, other):
         if isinstance(other, MonotoneElement):
-            segs = _kernel.compose_segments(self.segments, other.segments)
-            return MonotoneElement._trusted(tuple(map(Segment._make, segs)))
+            return _from_pieces(_kernel.compose_segments(self.segments, other.segments))
         return NotImplemented
 
     def inverse(self) -> "MonotoneElement":
         # the images of a canonical segment list, read as domains, are canonical too
-        return MonotoneElement._trusted(tuple(map(Segment._make, _inverted(self.segments))))
+        return _from_pieces(_inverted(self.segments))
 
     # -- equality and text ----------------------------------------------------
 
@@ -264,22 +305,25 @@ class MonotoneElement(_PieceMap):
             k = self.segments[0].offset
             return "id" if k == 0 else f"shift({k})"
         if self.is_idempotent():
-            return "E{" + ",".join(str(g) for g in sorted(self.dom_gaps())) + "}"
+            return "E{" + ",".join(map(str, _run_ints(self._dom_runs()))) + "}"
         return self.to_seg_text()
 
     def to_seg_text(self) -> str:
-        parts = []
-        for lo, hi, o in self.segments:
-            parts.append(f"({_bound_text(lo)}..{_bound_text(hi)},{o:+d})")
+        segs = self.segments
+        if len(segs) == 1:
+            return f"seg[(-inf..+inf,{segs[0][2]:+d})]"
+        # only the two outer bounds are infinite
+        _, first_hi, first_o = segs[0]
+        last_lo, _, last_o = segs[-1]
+        parts = [f"(-inf..{first_hi},{first_o:+d})"]
+        parts += [f"({lo}..{hi},{o:+d})" for lo, hi, o in segs[1:-1]]
+        parts.append(f"({last_lo}..+inf,{last_o:+d})")
         return "seg[" + ",".join(parts) + "]"
 
 
-def _bound_text(v) -> str:
-    if v == NEG_INF:
-        return "-inf"
-    if v == POS_INF:
-        return "+inf"
-    return str(v)
+def _from_pieces(pieces) -> MonotoneElement:
+    """The element whose canonical segments are the (lo, hi, offset) triples ``pieces``, unchecked."""
+    return MonotoneElement._trusted(tuple(map(_segment, pieces)))
 
 
 # -- constructors -------------------------------------------------------------
@@ -292,30 +336,32 @@ def normalize(raw: Iterable[tuple]) -> MonotoneElement:
     offset; rejects overlapping domains, out-of-order images, a bounded
     first/last piece, and empty input.  Idempotent on canonical input.  The
     checks below are all that canonical form needs, so the result is not
-    validated a second time.
+    validated a second time.  Segments of plain ints are checked inline, as
+    in the constructor.
     """
-    segs = [Segment(*s) for s in raw]
+    segs = _segments(raw)
     if not segs:
         raise InvalidElementError("an element needs at least one segment")
-    for lo, hi, offset in segs:
-        _check_segment(lo, hi, offset)
-    segs.sort(key=lambda s: (s.lo, s.hi))
-    merged = [segs[0]]
-    for seg in segs[1:]:
-        prev = merged[-1]
-        if not prev.hi < seg.lo:
+    _check_segments(segs)
+    segs = sorted(segs, key=_lo_hi)
+    merged = []
+    plo, phi, poff = segs[0]
+    for lo, hi, off in segs[1:]:
+        if not phi < lo:
             raise InvalidElementError("segments overlap or are out of order")
-        if prev.hi + 1 == seg.lo and prev.offset == seg.offset:
-            merged[-1] = Segment(prev.lo, seg.hi, prev.offset)
+        if phi + 1 == lo and poff == off:
+            phi = hi
         else:
-            if not prev.hi + prev.offset < seg.lo + seg.offset:
+            if not phi + poff < lo + off:
                 raise InvalidElementError("segment images overlap or are out of order")
-            merged.append(seg)
-    if merged[0].lo != NEG_INF:
+            merged.append((plo, phi, poff))
+            plo, phi, poff = lo, hi, off
+    merged.append((plo, phi, poff))
+    if merged[0][0] != NEG_INF:
         raise InvalidElementError("leftmost segment must extend to -inf")
-    if merged[-1].hi != POS_INF:
+    if merged[-1][1] != POS_INF:
         raise InvalidElementError("rightmost segment must extend to +inf")
-    return MonotoneElement._trusted(tuple(merged))
+    return _from_pieces(merged)
 
 
 def identity() -> MonotoneElement:
@@ -334,11 +380,11 @@ def _collapse_runs(runs) -> MonotoneElement:
     dropped = 0
     for lo, hi in runs:
         if prev + 1 < lo:
-            segs.append(Segment(prev + 1, lo - 1, -dropped))
+            segs.append((prev + 1, lo - 1, -dropped))
         dropped += hi - lo + 1
         prev = hi
-    segs.append(Segment(prev + 1, POS_INF, -dropped))
-    return MonotoneElement._trusted(tuple(segs))
+    segs.append((prev + 1, POS_INF, -dropped))
+    return _from_pieces(segs)
 
 
 @lru_cache(maxsize=8192)
@@ -351,7 +397,7 @@ def _idempotent(runs) -> MonotoneElement:
     """The identity map off (lo, hi) gap runs sorted by lo, which may touch or overlap."""
     covered = zip([lo for lo, _ in runs], accumulate([hi for _, hi in runs], max))
     pieces = _gaps_between([(NEG_INF, NEG_INF), *covered, (POS_INF, POS_INF)])
-    return MonotoneElement._trusted(tuple(Segment(lo, hi, 0) for lo, hi in pieces))
+    return _from_pieces([(lo, hi, 0) for lo, hi in pieces])
 
 
 def collapse_element(gaps: Iterable[int]) -> MonotoneElement:
@@ -384,7 +430,7 @@ def _from_runs(dom_runs, ran_runs, k: int) -> MonotoneElement:
 def _joined(left: MonotoneElement, k: int, right: MonotoneElement) -> MonotoneElement:
     """The collapse ``left``, then x -> x + k, then the inverse of the collapse ``right``."""
     if k:
-        left = MonotoneElement._trusted(tuple(Segment(lo, hi, o + k) for lo, hi, o in left.segments))
+        left = _from_pieces([(lo, hi, o + k) for lo, hi, o in left.segments])
     return left * right.inverse()
 
 
@@ -512,7 +558,7 @@ class IdempotentGaps:
     def to_element(self) -> MonotoneElement:
         # the collapse of the same gaps has the same domain; zero its offsets
         segs = _collapse_cached(tuple(sorted(self.gaps))).segments
-        return MonotoneElement._trusted(tuple(Segment(lo, hi, 0) for lo, hi, _ in segs))
+        return _from_pieces([(lo, hi, 0) for lo, hi, _ in segs])
 
     def leq(self, other: "IdempotentGaps") -> bool:
         """Natural partial order: self <= other iff dom(self) is contained in dom(other)."""

@@ -19,9 +19,9 @@ from operator import itemgetter
 from .core import (
     IdempotentGaps,
     MonotoneElement,
-    Segment,
     element_from_gaps,
     _collapse_runs,
+    _from_pieces,
     _from_runs,
     _graft,
     _overlaps,
@@ -133,9 +133,7 @@ def _solve_right_monotone(a: MonotoneElement, b: MonotoneElement):
     out = []
     for combo in product(*cell_options):
         # increasing values between the forced neighbours keep the graft canonical
-        x = MonotoneElement._trusted(
-            tuple(map(Segment._make, _graft(forced.segments, (p for opt in combo for p in opt))))
-        )
+        x = _from_pieces(_graft(forced.segments, (p for opt in combo for p in opt)))
         assert a * x == b
         out.append(x)
     return out
@@ -147,22 +145,23 @@ def _solve_right_almost(a, b):
     forced = _almost.compose_almost(_almost.inverse_almost(a), b)
     free = sorted(a.ran_gaps())
     values = sorted(forced.ran_gaps())
+    a_pieces = _almost._by_image(a)  # sorted once; each check below is the full product a*x
     out = []
     for n in range(min(len(free), len(values)) + 1):
         for chosen in combinations(free, n):
             for vals in permutations(values, n):
-                x = _extend_almost(forced, dict(zip(chosen, vals)))
-                assert _almost.compose_almost(a, x) == b
+                x = _extend_almost(forced, tuple(zip(chosen, vals)))
+                assert _almost._compose_by_image(a_pieces, x) == b
                 out.append(x)
     return out
 
 
-def _extend_almost(base, extra: dict):
-    """base with finitely many extra point assignments grafted into its middle.
+def _extend_almost(base, extra: tuple):
+    """base with finitely many extra (point, value) pairs grafted into its middle.
 
     The extra points lie outside dom(base) and their values outside its range.
     """
     if not extra:
         return base
-    return _almost.AlmostMonotoneElement._trusted(_graft(base._pieces(), extra.items()))
+    return _almost.AlmostMonotoneElement._trusted(_graft(base._pieces(), extra))
 

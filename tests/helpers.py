@@ -7,7 +7,16 @@ enumeration, never through the segment arithmetic under test.
 from itertools import combinations, product
 
 from cofinj.almost import AlmostMonotoneElement, make_almost
-from cofinj.core import NEG_INF, POS_INF, InvalidElementError, MonotoneElement, element_from_gaps, normalize
+from cofinj.core import (
+    NEG_INF,
+    POS_INF,
+    InvalidElementError,
+    MonotoneElement,
+    Segment,
+    _check_segment,
+    element_from_gaps,
+    normalize,
+)
 
 
 def finite_bound(elem) -> int:
@@ -585,3 +594,88 @@ def ref_sample_member(nbhd, rng):
     if isinstance(nbhd.center, MonotoneElement):
         return ref_sample_w_monotone(nbhd, rng)
     return ref_sample_w_almost(nbhd, rng)
+
+
+# -- the two-pass kernel and the call-per-segment checks ---------------------------------
+#
+# _kernel.compose_segments merges each piece as it emits it, and
+# core._check_canonical and core.normalize check plain-int segments inline.
+# These are the versions they replaced: composition, then a separate merge
+# pass over the whole output; and a _check_segment call for every segment.
+
+
+def ref_composite_pieces(a, b) -> list:
+    """The kernel's first pass: every overlap piece of 'a then b', in a's order, unmerged."""
+    out = []
+    j = 0
+    nb = len(b)
+    for lo, hi, off in a:
+        ilo = lo + off
+        ihi = hi + off
+        while j < nb and b[j][1] < ilo:
+            j += 1
+        k = j
+        while k < nb and b[k][0] <= ihi:
+            blo, bhi, boff = b[k]
+            s_lo = ilo if ilo > blo else blo
+            s_hi = ihi if ihi < bhi else bhi
+            if s_lo <= s_hi:
+                out.append((s_lo - off, s_hi - off, off + boff))
+            k += 1
+    return out
+
+
+def ref_compose_segments(a, b) -> list:
+    """The two-pass kernel: the first pass, then the merge of touching equal-offset neighbours."""
+    merged = []
+    for lo, hi, off in ref_composite_pieces(a, b):
+        if merged:
+            plo, phi, poff = merged[-1]
+            if poff == off and phi + 1 == lo:
+                merged[-1] = (plo, hi, poff)
+                continue
+        merged.append((lo, hi, off))
+    return merged
+
+
+def ref_check_canonical(segs):
+    if not segs:
+        raise InvalidElementError("an element needs at least one segment")
+    for lo, hi, offset in segs:
+        _check_segment(lo, hi, offset)
+    if segs[0].lo != NEG_INF:
+        raise InvalidElementError("leftmost segment must extend to -inf")
+    if segs[-1].hi != POS_INF:
+        raise InvalidElementError("rightmost segment must extend to +inf")
+    for (lo1, hi1, o1), (lo2, hi2, o2) in zip(segs, segs[1:]):
+        if not hi1 < lo2:
+            raise InvalidElementError("segments overlap or are out of order")
+        if not hi1 + o1 < lo2 + o2:
+            raise InvalidElementError("segment images overlap or are out of order")
+        if hi1 + 1 == lo2 and o1 == o2:
+            raise InvalidElementError("adjacent segments with equal offset must be merged")
+
+
+def ref_normalize(raw) -> MonotoneElement:
+    segs = [Segment(*s) for s in raw]
+    if not segs:
+        raise InvalidElementError("an element needs at least one segment")
+    for lo, hi, offset in segs:
+        _check_segment(lo, hi, offset)
+    segs.sort(key=lambda s: (s.lo, s.hi))
+    merged = [segs[0]]
+    for seg in segs[1:]:
+        prev = merged[-1]
+        if not prev.hi < seg.lo:
+            raise InvalidElementError("segments overlap or are out of order")
+        if prev.hi + 1 == seg.lo and prev.offset == seg.offset:
+            merged[-1] = Segment(prev.lo, seg.hi, prev.offset)
+        else:
+            if not prev.hi + prev.offset < seg.lo + seg.offset:
+                raise InvalidElementError("segment images overlap or are out of order")
+            merged.append(seg)
+    if merged[0].lo != NEG_INF:
+        raise InvalidElementError("leftmost segment must extend to -inf")
+    if merged[-1].hi != POS_INF:
+        raise InvalidElementError("rightmost segment must extend to +inf")
+    return MonotoneElement._trusted(tuple(merged))

@@ -222,7 +222,7 @@ def test_extend_almost_matches_window_walk():
     for base in bases:
         for _ in range(4):
             extra = _extras(base, rng)
-            got = _extend_almost(base, extra)
+            got = _extend_almost(base, tuple(extra.items()))
             _assert_same_almost(got, ref_extend_almost(base, extra))
             grown += got.left_end > base.left_end
     assert grown > 0

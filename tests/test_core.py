@@ -74,6 +74,10 @@ def test_normalize_idempotent_and_unordered_input():
         [(NEG_INF, POS_INF, "x")],  # non-integer offset
         [(NEG_INF, 0.5, 0), (2, POS_INF, 0)],  # non-integer bound
         [(POS_INF, POS_INF, 0)],
+        [(1,)],  # not a triple
+        None,  # not an iterable
+        [(NEG_INF, 0, 0, 0)],  # too long
+        [5],  # a segment that is not an iterable
     ],
 )
 def test_normalize_rejects(raw):
@@ -84,6 +88,12 @@ def test_normalize_rejects(raw):
 def test_constructor_rejects_mergeable():
     with pytest.raises(InvalidElementError):
         MonotoneElement([(NEG_INF, 0, 0), (1, POS_INF, 0)])
+
+
+@pytest.mark.parametrize("raw", [[(1, 2)], 5, None, [(NEG_INF, POS_INF, 0, 1)], [5], [(NEG_INF, POS_INF)]])
+def test_constructor_rejects_malformed_segments(raw):
+    with pytest.raises(InvalidElementError):
+        MonotoneElement(raw)
 
 
 # -- apply ---------------------------------------------------------------------
