@@ -48,6 +48,7 @@ from .core import (
     _inverted,
     _is_int,
     _PieceMap,
+    _window,
 )
 
 
@@ -94,11 +95,11 @@ class AlmostMonotoneElement(_PieceMap):
 
     @property
     def left_end(self) -> int:
-        return self.pieces[0][1] if len(self.pieces) > 1 else 0
+        return _window(self.pieces)[0]
 
     @property
     def right_start(self) -> int:
-        return self.pieces[-1][0] if len(self.pieces) > 1 else 1
+        return _window(self.pieces)[1]
 
     @property
     def middle(self) -> dict:
@@ -136,7 +137,7 @@ class AlmostMonotoneElement(_PieceMap):
 
     def to_text(self) -> str:
         p = self.pieces
-        d, u = (p[0][1], p[-1][0]) if len(p) > 1 else (0, 1)
+        d, u = _window(p)
         body = f"d={d},L={p[0][2]},u={u},R={p[-1][2]}"
         pairs = ", ".join([f"{x}->{x + off}" for lo, hi, off in p[1:-1] for x in range(lo, hi + 1)])
         return f"am[{body}; {pairs}]" if pairs else f"am[{body};]"

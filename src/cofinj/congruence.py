@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import InvalidElementError, MonotoneElement, _from_runs, _idempotent, _overlaps, shift
+from .core import InvalidElementError, MonotoneElement, _from_runs, _idempotent, _overlaps, _window, shift
 from .almost import AlmostMonotoneElement
 
 
@@ -72,15 +72,14 @@ def witness_idempotent(a, b) -> "MonotoneElement":
 
     Collapses everything either map does on the shared middle window; its
     existence is the congruence criterion for the minimal group congruence.
-    A map's window runs from the end of its first piece to the start of its
-    last one, (0, 1) for a single piece; the gaps are the images of each
-    map's pieces clipped to the open window, as runs; sorted together, they
-    are the gap runs of the idempotent.
+    The shared window spans both maps' windows (``core._window``); the gaps
+    are the images of each map's pieces clipped to the open window, as runs;
+    sorted together, they are the gap runs of the idempotent.
     """
     if not mgc_equiv(a, b):
         raise InvalidElementError("elements are not congruent")
     ps = (a._pieces(), b._pieces())
-    lo = min(p[0][1] if len(p) > 1 else 0 for p in ps) + 1
-    hi = max(p[-1][0] if len(p) > 1 else 1 for p in ps) - 1
+    lo = min(_window(p)[0] for p in ps) + 1
+    hi = max(_window(p)[1] for p in ps) - 1
     runs = sorted((s + o, t + o) for p in ps for s, t, (_, _, o), _ in _overlaps(p, [(lo, hi)]))
     return _idempotent(runs)

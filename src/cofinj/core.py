@@ -207,6 +207,11 @@ _lo_hi = itemgetter(0, 1)
 _offset = itemgetter(2)
 
 
+def _window(pieces) -> tuple:
+    """A piece tuple's window: from the end of the first piece to the start of the last, (0, 1) for one piece."""
+    return (pieces[0][1], pieces[-1][0]) if len(pieces) > 1 else (0, 1)
+
+
 def _gaps_between(intervals) -> list:
     """The maximal (lo, hi) runs of integers between consecutive sorted disjoint intervals."""
     return [(s[1] + 1, t[0] - 1) for s, t in zip(intervals, intervals[1:]) if s[1] + 1 < t[0]]

@@ -28,7 +28,13 @@ from . import bicyclic as _bicyclic
 from . import congruence as _congruence
 from . import green as _green
 from . import topology as _topology
-from .core import IdempotentGaps, InvalidElementError, MonotoneElement, _is_int, identity, parse_element, shift
+from .core import InvalidElementError, MonotoneElement, _is_int, _runs_within, identity, parse_element, shift
+
+# The deepest nesting of '(', '{' and calls that a statement may have.  Each
+# level costs the parser, the evaluator and the printer a few Python frames,
+# so this keeps a statement well inside the interpreter's recursion limit;
+# deeper input is a ParseError.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -179,6 +185,13 @@ class _Parser:
         self.text = text
         self.toks = tokenize(text)
         self.i = 0
+        # each '(' and '{' opens one level of recursion; calls open theirs with '('
+        depth = 0
+        for i, t in enumerate(self.toks):
+            depth += (t.kind in ("(", "{")) - (t.kind in (")", "}"))
+            if depth > MAX_NESTING:
+                self.i = i
+                self.fail(f"nesting deeper than {MAX_NESTING} levels")
 
     def peek(self) -> Token:
         return self.toks[self.i]
@@ -342,11 +355,11 @@ def _need_element(v, where):
     return v
 
 
-def _as_idempotent(v, where) -> IdempotentGaps:
+def _need_idempotent(v, where):
     _need_element(v, where)
     if not v.is_idempotent():
         raise EvalError(f"{where} expects an idempotent, got {format_value(v)}")
-    return IdempotentGaps(v.dom_gaps())
+    return v
 
 
 class Evaluator:
@@ -373,8 +386,14 @@ class Evaluator:
                 out = self._compose(out, v)
             return out
         if isinstance(node, Inv):
-            v = _need_element(self._eval(node.item), "'^-1'")
-            return _almost.canonicalize(v.inverse())
+            # a '^-1' chain is a loop, with no Python frame per inversion
+            chain = 0
+            while isinstance(node, Inv):
+                node, chain = node.item, chain + 1
+            v = self._eval(node)
+            for _ in range(chain):
+                v = _almost.canonicalize(_need_element(v, "'^-1'").inverse())
+            return v
         if isinstance(node, Pred):
             return self._pred(node)
         if isinstance(node, Call):
@@ -398,9 +417,10 @@ class Evaluator:
         a = self._eval(node.left)
         b = self._eval(node.right)
         if node.op == "<=":
-            ea = _as_idempotent(a, "'<='")
-            eb = _as_idempotent(b, "'<='")
-            return ea.leq(eb)
+            _need_idempotent(a, "'<='")
+            _need_idempotent(b, "'<='")
+            # e <= f exactly when every gap of f is a gap of e
+            return _runs_within(b._dom_runs(), a._dom_runs())
         _need_element(a, node.op)
         _need_element(b, node.op)
         if node.op == "~R":
@@ -533,5 +553,7 @@ def format_value(v) -> str:
     if isinstance(v, tuple) and len(v) == 2:
         return f"({format_value(v[0])}, {format_value(v[1])})"
     if isinstance(v, (frozenset, set)):
-        return "{" + ", ".join(format_value(x) for x in sorted(v, key=_sort_key)) + "}"
+        # an element's or a nested value's sort key is its text, so no member is formatted twice
+        keyed = sorted((k, k[1] if k[0] >= 2 else format_value(x)) for x in v for k in (_sort_key(x),))
+        return "{" + ", ".join(text for _, text in keyed) + "}"
     raise EvalError(f"cannot format {v!r}")

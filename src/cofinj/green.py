@@ -4,20 +4,22 @@ exact finite solution sets for one-sided equations.
 
 Both element kinds (monotone and almost-monotone) are accepted wherever gaps
 determine the answer.  Gap sets are read as sorted maximal runs, so the cost
-of the R/L/H relations, the factorization, the H-class members and the
-monotone solver's cells does not grow with the gap widths.
-The equation solvers enumerate the full (finite) solution set of a*x == b or
-x*a == b, either inside the monotone monoid or inside the almost-monotone
-one.
+of the R/L/H relations, the factorization and the H-class members does not
+grow with the gap widths.  One solver enumerates the full (finite) solution
+set of a*x == b or x*a == b, inside the monotone monoid or inside the
+almost-monotone one.  It reads its cells off gap runs, and it lists a cell's
+points only when the cell has room for an extra point.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations, groupby, permutations, product
 from operator import itemgetter
 
 from .core import (
     IdempotentGaps,
+    InvalidElementError,
     MonotoneElement,
     element_from_gaps,
     _collapse_runs,
@@ -28,6 +30,8 @@ from .core import (
     _runs_within,
 )
 from . import almost as _almost
+
+_AM = _almost.AlmostMonotoneElement
 
 
 def r_equiv(a, b) -> bool:
@@ -97,71 +101,65 @@ def solve_left(a, b, within: str | None = None):
 
 
 def _right_solutions(a, b, within):
-    """The solutions of a * x == b in the monoid ``within`` picks, unsorted."""
+    """The solutions of a * x == b in the monoid ``within`` picks, unsorted.
+
+    Each solution is forced = a^-1 * b grafted with one extension per cell:
+    n of the cell's free points sent to n of its values by the monoid's
+    pairing rule.  The monoid is picked once, as data: its cells, its pairing
+    rule, the wrapper of a grafted candidate and the product that checks it.
+    """
     if within is None:
-        within = (
-            "almost"
-            if isinstance(a, _almost.AlmostMonotoneElement)
-            or isinstance(b, _almost.AlmostMonotoneElement)
-            else "monotone"
-        )
-    if within not in ("monotone", "almost"):
-        raise ValueError(f"unknown monoid {within!r}")
+        within = "almost" if isinstance(a, _AM) or isinstance(b, _AM) else "monotone"
     if within == "almost":
-        return _solve_right_almost(_almost.as_almost(a), _almost.as_almost(b))
-    return _solve_right_monotone(a, b)
-
-
-def _solve_right_monotone(a: MonotoneElement, b: MonotoneElement):
+        a, b = _almost.as_almost(a), _almost.as_almost(b)
+        # a's pieces are sorted by image once; each check is the full product a*x
+        check = partial(_almost._compose_by_image, _almost._by_image(a))
+        cells, pair, wrap = _almost_cells, permutations, _AM._trusted
+    elif within != "monotone":
+        raise ValueError(f"unknown monoid {within!r}")
+    elif isinstance(a, _AM) or isinstance(b, _AM):
+        raise InvalidElementError("the monotone monoid takes monotone elements")
+    else:
+        cells, pair, wrap, check = _monotone_cells, combinations, _from_pieces, a.__mul__
     if not _runs_within(a._dom_runs(), b._dom_runs()):
         return ()
     forced = a.inverse() * b
-    # a cell is a maximal run of dom(forced) gaps; an extension sends the cell's points
-    # outside ran(a) strictly between the forced values around it, or leaves the cell alone
-    cell_options = []
-    for (lo, hi), overlaps in groupby(_overlaps(forced._dom_runs(), a._ran_runs()), key=itemgetter(2)):
-        values = range(forced(lo - 1) + 1, forced(hi + 1))
-        if not values:
-            continue
-        usable = [s for ulo, uhi, _, _ in overlaps for s in range(ulo, uhi + 1)]
-        opts = []
-        for n in range(min(len(usable), len(values)) + 1):
-            for chosen in combinations(usable, n):
-                for vals in combinations(values, n):
-                    opts.append(tuple(zip(chosen, vals)))
-        cell_options.append(opts)
+    options = [_cell_options(points, values, pair) for points, values in cells(a, forced)]
     out = []
-    for combo in product(*cell_options):
-        # increasing values between the forced neighbours keep the graft canonical
-        x = _from_pieces(_graft(forced.segments, (p for opt in combo for p in opt)))
-        assert a * x == b
+    for combo in product(*options):
+        x = wrap(_graft(forced._pieces(), (p for opt in combo for p in opt)))
+        assert check(x) == b
         out.append(x)
     return out
 
 
-def _solve_right_almost(a, b):
-    if not _runs_within(a._dom_runs(), b._dom_runs()):
-        return ()
-    forced = _almost.compose_almost(_almost.inverse_almost(a), b)
-    free = sorted(a.ran_gaps())
-    values = sorted(forced.ran_gaps())
-    a_pieces = _almost._by_image(a)  # sorted once; each check below is the full product a*x
-    out = []
-    for n in range(min(len(free), len(values)) + 1):
-        for chosen in combinations(free, n):
-            for vals in permutations(values, n):
-                x = _extend_almost(forced, tuple(zip(chosen, vals)))
-                assert _almost._compose_by_image(a_pieces, x) == b
-                out.append(x)
-    return out
+def _monotone_cells(a, forced):
+    """One cell per maximal run of dom(forced) gaps that meets ran(a)'s gaps.
 
-
-def _extend_almost(base, extra: tuple):
-    """base with finitely many extra (point, value) pairs grafted into its middle.
-
-    The extra points lie outside dom(base) and their values outside its range.
+    Its free points are a's range gaps in the run, and its values lie strictly
+    between the forced values around the run; pairing them in increasing
+    order keeps the graft canonical.
     """
-    if not extra:
-        return base
-    return _almost.AlmostMonotoneElement._trusted(_graft(base._pieces(), extra))
+    for (lo, hi), overlaps in groupby(_overlaps(forced._dom_runs(), a._ran_runs()), key=itemgetter(2)):
+        yield [o[:2] for o in overlaps], [(forced(lo - 1) + 1, forced(hi + 1) - 1)]
 
+
+def _almost_cells(a, forced):
+    """One cell, the whole gap set: a's range gaps go to forced's range gaps in any order."""
+    return [(a._ran_runs(), forced._ran_runs())]
+
+
+def _cell_options(point_runs, value_runs, pair) -> list:
+    """Each extension of one cell, as (point, value) pairs; the empty one alone if a side is empty.
+
+    Both sides are checked as runs, so an empty side lists no points.
+    """
+    if not any(lo <= hi for lo, hi in point_runs) or not any(lo <= hi for lo, hi in value_runs):
+        return [()]
+    points, values = ([x for lo, hi in runs for x in range(lo, hi + 1)] for runs in (point_runs, value_runs))
+    return [
+        tuple(zip(chosen, vals))
+        for n in range(min(len(points), len(values)) + 1)
+        for chosen in combinations(points, n)
+        for vals in pair(values, n)
+    ]

@@ -48,6 +48,7 @@ from .core import (
     _is_int,
     _overlaps,
     _runs_within,
+    _window,
     identity,
 )
 from . import almost as _almost
@@ -116,12 +117,16 @@ def member(nbhd: BasicNeighborhood, elem) -> bool:
 
 
 def _extent(elem, pins=()) -> int:
-    """The largest |x| over the pins, the finite piece ends and their images."""
+    """The largest |x| over the pins, the finite piece ends and their images.
+
+    An almost-monotone total translation also counts its window (0, 1); a
+    monotone one adds no ends.
+    """
     pieces = elem._pieces()
-    if len(pieces) == 1 and isinstance(elem, _almost.AlmostMonotoneElement):
-        # an almost-monotone total translation reports the window (0, 1)
-        pieces = ((NEG_INF, 0, pieces[0][2]), (1, POS_INF, pieces[0][2]))
     ends = [v for lo, hi, o in pieces for e in (lo, hi) if abs(e) != POS_INF for v in (e, e + o)]
+    if isinstance(elem, _almost.AlmostMonotoneElement):
+        d, u = _window(pieces)
+        ends += (d, d + pieces[0][2], u, u + pieces[-1][2])
     return max(map(abs, chain(pins, ends)), default=0)
 
 

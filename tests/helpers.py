@@ -4,9 +4,9 @@ Everything here works pointwise on explicit integer windows or by exhaustive
 enumeration, never through the segment arithmetic under test.
 """
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
-from cofinj.almost import AlmostMonotoneElement, make_almost
+from cofinj.almost import AlmostMonotoneElement, compose_almost, inverse_almost, make_almost
 from cofinj.core import (
     NEG_INF,
     POS_INF,
@@ -282,7 +282,7 @@ def expand_runs(runs) -> frozenset:
 # -- window-walk references for the almost-monotone piece arithmetic -------------------
 #
 # compose_almost, from_monotone, to_monotone, inverse_almost and the solver's
-# _extend_almost build their results from translation pieces.  These are the
+# graft build their results from translation pieces.  These are the
 # versions that walk the window point by point and build through the
 # validating make_almost / normalize; their cost grows with the window width
 # and the offsets, so keep the inputs narrow.
@@ -459,6 +459,28 @@ def ref_solve_right_monotone(a, b) -> tuple:
     for combo in product(*cell_options):
         extra = [(x, x, v - x) for opt in combo for x, v in opt]
         out.append(normalize(list(forced.segments) + extra))
+    return tuple(sorted(out, key=lambda e: e.to_text()))
+
+
+def ref_solve_right_almost(a, b) -> tuple:
+    """Every almost-monotone x with a * x == b, sorted by text: the almost-monotone solver as it was.
+
+    It lists every range gap of a as a free point and every range gap of
+    forced = a^-1 * b as a value, and extends forced by the window walk of
+    ref_extend_almost; a and b are almost-monotone.
+    """
+    if not a.dom_gaps() <= b.dom_gaps():
+        return ()
+    forced = compose_almost(inverse_almost(a), b)
+    free = sorted(a.ran_gaps())
+    values = sorted(forced.ran_gaps())
+    out = []
+    for n in range(min(len(free), len(values)) + 1):
+        for chosen in combinations(free, n):
+            for vals in permutations(values, n):
+                x = ref_extend_almost(forced, dict(zip(chosen, vals)))
+                assert compose_almost(a, x) == b
+                out.append(x)
     return tuple(sorted(out, key=lambda e: e.to_text()))
 
 

@@ -7,9 +7,9 @@ Every assertion is exact (zero tolerance); randomized parts are seeded.
 import functools
 import random
 from collections import defaultdict
-from itertools import combinations, product
+from itertools import combinations, compress, product
+from operator import itemgetter
 
-from cofinj import _kernel
 from cofinj.bicyclic import BicyclicWord, eval_word, normal_form
 from cofinj.congruence import Signature, mgc_signature, signature_preimage
 from cofinj.core import (
@@ -151,19 +151,42 @@ def _solve_candidate_box():
     return out
 
 
+# The brute force of criterion 6 tabulates each candidate once and never calls
+# the segment kernel.  Every family member is a translation on (-inf, -3] and
+# on [5, +inf): its gaps lie in {0, 1, 2} and both its offsets in [-2, 2].
+# Every candidate is a translation on (-inf, -7] and on [13, +inf): its gaps
+# lie in [-2, 4], its left offset in [-4, 4] and its right offset in [-8, 6].
+# So for a in the family, a*x is a translation on (-inf, -9], which a sends
+# into (-inf, -7], and on [15, +inf), which a sends into [13, +inf); so is
+# every family member b.  Hence a*x == b exactly when the two agree on the
+# key window [-9, 15], whose end points fix both tails.  a is monotone, so it
+# sends the window into [a(-9), a(15)], inside the table window [-11, 17].
+_KEY_WINDOW = range(-9, 16)
+_TABLE_WINDOW = range(-11, 18)
+
+
 @criterion(6, "one-sided equation solutions match brute-force enumeration exactly")
 def test_criterion_6_equation_solving():
     family = _solve_family()
     assert len(family) == 209
-    candidates = [x.segments for x in _solve_candidate_box()]
-    compose = _kernel.compose_segments
-    for a in family:
+    box = _solve_candidate_box()
+    candidates = [x.segments for x in box]
+    tables = [tuple(map(x, _TABLE_WINDOW)) for x in box]
+    windows = [tuple(map(b, _KEY_WINDOW)) for b in family]
+    for a, images in zip(family, windows):
+        # a*x at the window points in dom(a), read off x's table at their images
+        key = itemgetter(*[y - _TABLE_WINDOW[0] for y in images if y is not None])
+        targets = {}
+        for b, values in zip(family, windows):
+            if all(v is None for v, y in zip(values, images) if y is None):
+                targets[tuple(v for v, y in zip(values, images) if y is not None)] = b
+        # only candidates whose key matches a family member are kept
+        keys = list(map(key, tables))
         groups = defaultdict(list)
-        asegs = a.segments
-        for xsegs in candidates:
-            groups[tuple(compose(asegs, xsegs))].append(xsegs)
+        for xsegs, k in compress(zip(candidates, keys), map(targets.__contains__, keys)):
+            groups[targets[k]].append(xsegs)
         for b in family:
-            brute = set(groups.get(tuple(b.segments), ()))
+            brute = set(groups.get(b, ()))
             got = {x.segments for x in solve_right(a, b)}
             assert got == brute, (a, b)
 

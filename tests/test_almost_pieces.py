@@ -1,7 +1,7 @@
 """Almost-monotone arithmetic on translation pieces against the window-walk references.
 
 compose_almost, from_monotone, to_monotone, canonicalize, inverse_almost and
-the solver's _extend_almost build their results from maximal translation
+the solver's graft of extra points build their results from maximal translation
 pieces and wrap them without a second check.  Each result here must equal,
 structurally, the point-by-point version kept in helpers, and must pass the
 validating public constructor unchanged.  The corpus has narrow and
@@ -31,14 +31,13 @@ from cofinj.core import (
     InvalidElementError,
     MonotoneElement,
     Segment,
+    _graft,
     element_from_gaps,
     identity,
     parse_element,
     random_element,
     shift,
 )
-from cofinj.green import _extend_almost
-
 from helpers import (
     ref_compose_almost,
     ref_extend_almost,
@@ -222,7 +221,8 @@ def test_extend_almost_matches_window_walk():
     for base in bases:
         for _ in range(4):
             extra = _extras(base, rng)
-            got = _extend_almost(base, tuple(extra.items()))
+            # the almost-monotone solver wraps each grafted candidate this way
+            got = AlmostMonotoneElement._trusted(_graft(base._pieces(), extra.items()))
             _assert_same_almost(got, ref_extend_almost(base, extra))
             grown += got.left_end > base.left_end
     assert grown > 0

@@ -122,6 +122,48 @@ def test_repl_smoke(capsys, monkeypatch):
     assert "parse error" in out.err and "error:" in out.err
 
 
+DEEP = ["(" * 1000 + "id" + ")" * 1000, "{" * 1000 + "id" + "}" * 1000, "shift(" * 1000 + "1" + ")" * 1000]
+
+
+@pytest.mark.parametrize("text", DEEP, ids=["parens", "braces", "calls"])
+def test_deep_nesting_is_a_parse_error(text, tmp_path, capsys):
+    script = tmp_path / "deep.cfj"
+    script.write_text(text + "\n")
+    for argv in (["--eval", text], ["--script", str(script)]):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2 and out == "", argv[0]
+        assert err.startswith("parse error: 1:") and "nesting deeper than" in err, argv[0]
+
+
+def test_deep_nesting_in_the_repl_keeps_the_session(capsys, monkeypatch):
+    lines = iter(DEEP + ["shift(2)*shift(1)", "quit"])
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
+    rc = cli.main([])
+    out = capsys.readouterr()
+    assert rc == 0
+    assert out.out == "shift(3)\n"
+    assert out.err.count("parse error: 1:") == 3
+
+
+def test_long_inverse_chain_is_evaluated_without_recursion(capsys):
+    rc, out, err = run_cli(capsys, "--eval", "id" + "^-1" * 1200)
+    assert (rc, out, err) == (0, "id\n", "")
+    rc, out, _ = run_cli(capsys, "--eval", "shift(2)" + "^-1" * 1201)
+    assert (rc, out) == (0, "shift(-2)\n")
+
+
+def test_nesting_up_to_the_limit_evaluates(capsys):
+    from cofinj.exprlang import MAX_NESTING
+
+    n = MAX_NESTING
+    for fmt in ("text", "json"):
+        for text in ("(" * n + "id" + ")" * n, "{" * n + "id" + "}" * n, "(" * n + "id, id" + ")" * n):
+            rc, out, err = run_cli(capsys, "--format", fmt, "--eval", text)
+            assert rc == 0 and err == "", (fmt, text[:5])
+        rc, _, err = run_cli(capsys, "--format", fmt, "--eval", "h(" * n + "id" + ")" * n)
+        assert rc == 1 and err.startswith("error: h expects an element")
+
+
 # -- egg-box export -------------------------------------------------------------------
 
 

@@ -300,7 +300,8 @@ def test_relations_membership_and_certificates_ignore_gap_width():
     calls).  inverse_cover, separate, factorize_simple, h_class_members,
     signature_preimage and witness_idempotent have no form.  The one
     solution of a * x == id is found without listing the 10^12 points of
-    its cell, because the cell has no room for extra values.  audit_sep is
+    its cell, in either monoid, because the cell has no room for extra
+    values; '<=' compares the idempotents' gap runs.  audit_sep is
     left out: its sampler draws members point by point across the gap, and
     those seeded draws are part of the CLI output.
     """
@@ -320,6 +321,8 @@ def test_relations_membership_and_certificates_ignore_gap_width():
         (lambda: separate(a, a * shift(1)), (frozenset({0}), frozenset({0}))),
         (lambda: product_cover(a, ainv, {0}), (frozenset({0}), frozenset({0}))),
         (lambda: solve_right(a, identity()), (ainv,)),
+        (lambda: solve_right(a, identity(), within="almost"), (am.from_monotone(ainv),)),
+        (lambda: solve_left(ainv, identity(), within="almost"), (am.from_monotone(a),)),
         (lambda: factorize_simple(ainv, a), (ainv, ainv)),
         (lambda: h_class_members(a, [0, 5]), [a, shift(5) * a]),
         (lambda: signature_preimage((0, big)), a),
@@ -338,6 +341,8 @@ def test_relations_membership_and_certificates_ignore_gap_width():
         (f"cover({BIG}, {BIG}^-1; 0)", "({0}, {0})"),
         (f"solve {BIG}*? = id", f"{{{ainv.to_text()}}}"),
         (f"solve ?*{BIG}^-1 = id", f"{{{BIG}}}"),
+        (f"seg[(-inf..0,+0),({big + 1}..+inf,+0)] <= id", "true"),
+        (f"id <= seg[(-inf..0,+0),({big + 1}..+inf,+0)]", "false"),
     ]
     for fn, want in direct + [(lambda t=t: _eval(t), w) for t, w in via_cli]:
         ms, got = _fastest_ms(fn)

@@ -1,8 +1,12 @@
 import random
 from itertools import combinations, permutations
+from math import comb, factorial
+
+import pytest
 
 from cofinj.core import (
     IdempotentGaps,
+    InvalidElementError,
     MonotoneElement,
     Segment,
     element_from_gaps,
@@ -24,7 +28,7 @@ from cofinj.green import (
 )
 from cofinj import almost as am
 
-from helpers import enumerate_monotone
+from helpers import enumerate_monotone, ref_solve_right_almost, ref_solve_right_monotone
 
 A0P = parse_element("seg[(-inf..0,+0),(1..+inf,+1)]")
 
@@ -278,3 +282,57 @@ def test_monotone_solutions_embed_in_almost_solutions():
         mono = {am.from_monotone(x) for x in solve_right(a, b)}
         alm = set(solve_right(a, b, within="almost"))
         assert mono <= alm
+
+
+# -- the one solver against both references ---------------------------------------------
+
+
+def _solver_corpus(rng):
+    """Monotone pairs with at most 3 gaps and a planted solution, E{0..n-1} for n <= 5,
+    and random_almost pairs, random and planted."""
+    mono = []
+    for _ in range(40):
+        a = random_element(rng, 3, 2)
+        mono.append((a, a * random_element(rng, 3, 2)))
+    mono += [(IdempotentGaps(range(n)).to_element(),) * 2 for n in range(1, 6)]
+    almost = []
+    while len(almost) < 80:
+        a = am.random_almost(rng, 2, 3, 4)
+        # at most 3 free points on either side keeps each solution set below a thousand
+        if len(a.dom_gaps()) <= 3 and len(a.ran_gaps()) <= 3:
+            almost.append((a, am.random_almost(rng, 2, 3, 4)))
+            almost.append((a, am.compose_almost(a, am.random_almost(rng, 2, 3, 4))))
+    return mono, almost
+
+
+def _ref_solve(side, a, b, within):
+    """The reference solution tuple of a*x == b (right) or x*a == b (left), sorted by text."""
+    if within == "almost":
+        ref, a, b = ref_solve_right_almost, am.as_almost(a), am.as_almost(b)
+    else:
+        ref = ref_solve_right_monotone
+    if side == "right":
+        return ref(a, b)
+    return tuple(sorted((x.inverse() for x in ref(a.inverse(), b.inverse())), key=lambda e: e.to_text()))
+
+
+def test_one_solver_matches_both_references():
+    mono, almost = _solver_corpus(random.Random(12))
+    sizes = {"monotone": set(), "almost": set()}
+    cases = [(a, b, w) for a, b in mono for w in ("monotone", "almost")]
+    cases += [(a, b, "almost") for a, b in almost]
+    for a, b, within in cases:
+        for side, solve in (("right", solve_right), ("left", solve_left)):
+            want = _ref_solve(side, a, b, within)
+            assert solve(a, b, within=within) == want, (side, within, a, b)
+            sizes[within].add(min(len(want), 3))
+        # by default the inputs' classes pick the monoid
+        default = "monotone" if isinstance(a, MonotoneElement) and isinstance(b, MonotoneElement) else "almost"
+        assert solve_right(a, b) == solve_right(a, b, within=default)
+    assert sizes == {"monotone": {0, 1, 2, 3}, "almost": {0, 1, 2, 3}}
+    with pytest.raises(InvalidElementError, match="monotone elements"):
+        solve_right(am.almost_identity(), identity(), within="monotone")
+    for n in range(1, 6):
+        e = IdempotentGaps(range(n)).to_element()
+        assert len(solve_right(e, e)) == comb(2 * n, n)
+        assert len(solve_left(e, e, within="almost")) == sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))
