@@ -25,16 +25,18 @@ kernel that monotone ``*`` uses, so its cost is O(p log p) in the pieces,
 independent of the window width and the offsets.
 
 Outside data is validated once, where it enters: the constructor,
-:func:`make_almost` and :func:`parse_almost`.  Results built from pieces of
-elements that are already canonical (compositions, inverses, conversions)
-are canonical by construction and wrapped by
-:meth:`AlmostMonotoneElement._trusted` without a second check.
+:func:`make_almost`, :func:`parse_almost` and :func:`unit_recompose`.
+Results built from pieces of elements that are already canonical
+(compositions, inverses, conversions) are canonical by construction and
+wrapped by :meth:`AlmostMonotoneElement._trusted` without a second check.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from itertools import chain
+from operator import eq
 from typing import NamedTuple
 
 from . import _kernel
@@ -165,26 +167,44 @@ def _middle_dict(middle) -> dict:
 
 
 def _checked_pieces(d, dl, u, ur, middle) -> tuple:
-    """Maximal pieces of a window with tails x -> x + dl up to d and x -> x + ur from u, validated."""
+    """Maximal pieces of a window with tails x -> x + dl up to d and x -> x + ur from u, validated.
+
+    A middle of plain ints passes three C-level passes over the whole dict:
+    the types, the four window bounds, and the count of distinct values.  Only
+    a middle that fails one of them is walked entry by entry, in dict order,
+    and only that walk raises, so the first defect reported and its message
+    do not depend on which pass caught it.
+    """
     mid = _middle_dict(middle)
-    for v in (d, dl, u, ur):
-        if not _is_int(v):
-            raise InvalidElementError("tail data must be integers")
+    if not type(d) is type(dl) is type(u) is type(ur) is int:
+        for v in (d, dl, u, ur):
+            if not _is_int(v):
+                raise InvalidElementError("tail data must be integers")
     if d >= u:
         raise InvalidElementError("left end of the window must lie below the right start")
     if d + dl >= u + ur:
         raise InvalidElementError("tail images collide: left image must end below the right image")
-    seen = set()
-    for k, v in mid.items():
-        if not (_is_int(k) and _is_int(v)):
-            raise InvalidElementError("middle entries must be integer pairs")
-        if not d < k < u:
-            raise InvalidElementError(f"middle point {k} outside the open window ({d}, {u})")
-        if not d + dl < v < u + ur:
-            raise InvalidElementError(f"middle value {v} collides with a tail image")
-        if v in seen:
-            raise InvalidElementError(f"middle is not injective: value {v} repeated")
-        seen.add(v)
+    vals = mid.values()
+    # the type pass comes first, so min and max only ever compare ints
+    if mid and not (
+        {*map(type, mid), *map(type, vals)} <= {int}
+        and d < min(mid)
+        and max(mid) < u
+        and d + dl < min(vals)
+        and max(vals) < u + ur
+        and len(set(vals)) == len(mid)
+    ):
+        seen = set()
+        for k, v in mid.items():
+            if not (_is_int(k) and _is_int(v)):
+                raise InvalidElementError("middle entries must be integer pairs")
+            if not d < k < u:
+                raise InvalidElementError(f"middle point {k} outside the open window ({d}, {u})")
+            if not d + dl < v < u + ur:
+                raise InvalidElementError(f"middle value {v} collides with a tail image")
+            if v in seen:
+                raise InvalidElementError(f"middle is not injective: value {v} repeated")
+            seen.add(v)
     raw = [(NEG_INF, d, dl)]
     raw += [(k, k, v - k) for k, v in sorted(mid.items())]
     raw.append((u, POS_INF, ur))
@@ -194,8 +214,10 @@ def _checked_pieces(d, dl, u, ur, middle) -> tuple:
 def make_almost(left_end, left_offset, right_start, right_offset, middle) -> AlmostMonotoneElement:
     """Validating constructor; the window need not be minimal.
 
-    ``middle`` is a mapping or an iterable of (point, value) pairs.  Merging
-    the pieces absorbs middle points that continue a tail, so the result is
+    ``middle`` is a mapping or an iterable of (point, value) pairs.  A
+    middle of plain ints is checked in C-level passes over the whole dict,
+    anything else entry by entry, with the same messages.  Merging the
+    pieces absorbs middle points that continue a tail, so the result is
     canonical without a second check.
     """
     return AlmostMonotoneElement._trusted(
@@ -345,18 +367,33 @@ def unit_decompose(elem) -> UnitDecomposition:
 
 
 def unit_recompose(dec: UnitDecomposition) -> AlmostMonotoneElement:
-    support = dec.support_perm
-    if not all(isinstance(p, (tuple, list)) and len(p) == 2 and all(map(_is_int, p)) for p in support):
+    """The unit x -> (x)perm + shift, validated.
+
+    A support of plain-int tuple or list pairs passes C-level passes over
+    the entry types, their lengths and the point types; any other support is
+    checked entry by entry.
+    """
+    try:
+        support = tuple(dec.support_perm)
+    except TypeError:
+        raise InvalidElementError(
+            f"support permutation must be an iterable of integer pairs, got {dec.support_perm!r}"
+        ) from None
+    if not (
+        {*map(type, support)} <= {tuple, list}
+        and {*map(len, support)} <= {2}
+        and {*map(type, chain.from_iterable(support))} <= {int}
+    ) and not all(isinstance(p, (tuple, list)) and len(p) == 2 and all(map(_is_int, p)) for p in support):
         raise InvalidElementError("support permutation entries must be integer pairs")
     perm = dict(support)
     if len(perm) != len(support):
         raise InvalidElementError("support permutation repeats a point")
     if set(perm.values()) != set(perm):
         raise InvalidElementError("support permutation is not a bijection of its support")
-    if any(v == k for k, v in perm.items()):
+    if any(map(eq, perm, perm.values())):
         raise InvalidElementError("support permutation lists a fixed point")
     k = dec.shift
-    if not _is_int(k):
+    if type(k) is not int and not _is_int(k):
         raise InvalidElementError("shift must be an integer")
     if not perm:
         return make_almost(0, k, 1, k, {})

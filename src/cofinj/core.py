@@ -73,7 +73,7 @@ def _is_bound(v) -> bool:
 
 
 def _check_int(v, message: str):
-    if not _is_int(v):
+    if type(v) is not int and not _is_int(v):
         raise InvalidElementError(f"{message}, got {v!r}")
 
 
@@ -87,9 +87,21 @@ def _check_segment(lo, hi, offset):
         raise InvalidElementError(f"empty segment ({lo}..{hi})")
 
 
-def _check_gaps(gaps):
-    for g in filterfalse(_is_int, gaps):
-        _check_int(g, "gap positions must be integers")
+def _check_gaps(gaps) -> frozenset:
+    """Outside gap positions as a frozenset, every one an integer.
+
+    A set of plain ints passes in one C-level pass over the types; anything
+    else is checked point by point, and the first point that is not an
+    integer, in the set's iteration order, is the one reported.
+    """
+    try:
+        gs = frozenset(gaps)
+    except TypeError:
+        raise InvalidElementError(f"gaps must be an iterable of integer positions, got {gaps!r}") from None
+    if gs and not {*map(type, gs)} <= {int}:
+        for g in filterfalse(_is_int, gs):
+            _check_int(g, "gap positions must be integers")
+    return gs
 
 
 _segment = partial(tuple.__new__, Segment)  # Segment._make without its frame and length check
@@ -411,9 +423,7 @@ def collapse_element(gaps: Iterable[int]) -> MonotoneElement:
     Sends x to x minus the number of gaps below x; this is the canonical
     choice of monotone bijection from a cofinite set onto Z.
     """
-    gs = set(gaps)
-    _check_gaps(gs)
-    return _collapse_cached(tuple(sorted(gs)))
+    return _collapse_cached(tuple(sorted(_check_gaps(gaps))))
 
 
 def element_from_gaps(dom_gaps: Iterable[int], ran_gaps: Iterable[int], left_offset: int) -> MonotoneElement:
@@ -539,14 +549,17 @@ class IdempotentGaps:
     The natural partial order is reverse inclusion of gap sets and the
     semilattice meet (= product of the idempotents) is gap-set union, so
     this class is the free semilattice of finite subsets of Z in disguise.
+
+    The gaps are checked by ``_check_gaps``: a set of plain ints passes in
+    one C-level pass over its types, anything else is checked point by
+    point, and input that is not an iterable of hashable items is an
+    ``InvalidElementError`` too.
     """
 
     __slots__ = ("gaps",)
 
     def __init__(self, gaps: Iterable[int] = ()):
-        gs = frozenset(gaps)
-        _check_gaps(gs)
-        object.__setattr__(self, "gaps", gs)
+        object.__setattr__(self, "gaps", _check_gaps(gaps))
 
     def __setattr__(self, name, value):
         raise AttributeError("IdempotentGaps is immutable")

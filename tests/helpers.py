@@ -4,9 +4,10 @@ Everything here works pointwise on explicit integer windows or by exhaustive
 enumeration, never through the segment arithmetic under test.
 """
 
-from itertools import combinations, permutations, product
+from itertools import combinations, filterfalse, permutations, product
 
-from cofinj.almost import AlmostMonotoneElement, compose_almost, inverse_almost, make_almost
+from cofinj import _kernel
+from cofinj.almost import AlmostMonotoneElement, _middle_dict, compose_almost, inverse_almost, make_almost
 from cofinj.core import (
     NEG_INF,
     POS_INF,
@@ -701,3 +702,71 @@ def ref_normalize(raw) -> MonotoneElement:
     if merged[-1].hi != POS_INF:
         raise InvalidElementError("rightmost segment must extend to +inf")
     return MonotoneElement._trusted(tuple(merged))
+
+
+# -- point-by-point references for the entry checks of gap sets, middles and supports ----
+#
+# core._check_gaps, almost._checked_pieces and almost.unit_recompose accept
+# plain ints in whole-collection passes and fall back to the loops below
+# only when a pass fails.  These are those loops as the only check: one call
+# per gap, per middle entry or per support pair.  The merge at the end is the
+# kernel's, as in almost; what the references stand for is the checks.
+
+
+def _ref_is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def ref_check_gaps(gaps):
+    """Reject a set of gap positions at its first non-integer, in iteration order."""
+    for g in filterfalse(_ref_is_int, gaps):
+        raise InvalidElementError(f"gap positions must be integers, got {g!r}")
+
+
+def ref_checked_pieces(d, dl, u, ur, middle) -> tuple:
+    """almost._checked_pieces with every middle entry checked in turn."""
+    mid = _middle_dict(middle)
+    for v in (d, dl, u, ur):
+        if not _ref_is_int(v):
+            raise InvalidElementError("tail data must be integers")
+    if d >= u:
+        raise InvalidElementError("left end of the window must lie below the right start")
+    if d + dl >= u + ur:
+        raise InvalidElementError("tail images collide: left image must end below the right image")
+    seen = set()
+    for k, v in mid.items():
+        if not (_ref_is_int(k) and _ref_is_int(v)):
+            raise InvalidElementError("middle entries must be integer pairs")
+        if not d < k < u:
+            raise InvalidElementError(f"middle point {k} outside the open window ({d}, {u})")
+        if not d + dl < v < u + ur:
+            raise InvalidElementError(f"middle value {v} collides with a tail image")
+        if v in seen:
+            raise InvalidElementError(f"middle is not injective: value {v} repeated")
+        seen.add(v)
+    raw = [(NEG_INF, d, dl)]
+    raw += [(k, k, v - k) for k, v in sorted(mid.items())]
+    raw.append((u, POS_INF, ur))
+    return tuple(_kernel.merge_pieces(raw))
+
+
+def ref_unit_recompose(dec) -> AlmostMonotoneElement:
+    """almost.unit_recompose with every support pair checked in turn."""
+    support = dec.support_perm
+    if not all(isinstance(p, (tuple, list)) and len(p) == 2 and all(map(_ref_is_int, p)) for p in support):
+        raise InvalidElementError("support permutation entries must be integer pairs")
+    perm = dict(support)
+    if len(perm) != len(support):
+        raise InvalidElementError("support permutation repeats a point")
+    if set(perm.values()) != set(perm):
+        raise InvalidElementError("support permutation is not a bijection of its support")
+    if any(v == k for k, v in perm.items()):
+        raise InvalidElementError("support permutation lists a fixed point")
+    k = dec.shift
+    if not _ref_is_int(k):
+        raise InvalidElementError("shift must be an integer")
+    if not perm:
+        return AlmostMonotoneElement._trusted(ref_checked_pieces(0, k, 1, k, {}))
+    lo, hi = min(perm), max(perm)
+    mid = {x: perm.get(x, x) + k for x in range(lo, hi + 1)}
+    return AlmostMonotoneElement._trusted(ref_checked_pieces(lo - 1, k, hi + 1, k, mid))

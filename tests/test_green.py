@@ -191,13 +191,45 @@ def test_solve_left_duality():
         }
 
 
+def _tabulate(dg, rg, left, lo, hi) -> list:
+    """element_from_gaps(dg, rg, left) on lo..hi, read off its gap data alone.
+
+    The element sends the points off dg, in increasing order, onto the points
+    off rg, in increasing order; lo must lie below dg and lo + left below rg,
+    so that lo goes to lo + left.
+    """
+    table = []
+    y = lo + left
+    for t in range(lo, hi + 1):
+        if t in dg:
+            table.append(None)
+            continue
+        while y in rg:
+            y += 1
+        table.append(y)
+        y += 1
+    return table
+
+
 def _brute_solutions(a, b):
     """Every monotone element in a bounded box, filtered by the defining equation.
 
-    Box bounds follow from a*x == b alone: dom(x) contains ((dom b)a, so the
+    Box bounds follow from a*x == b alone: dom(x) contains ((dom b))a, so the
     domain gaps of x sit inside the range gaps of a joined with the images of
     the domain gaps of b; range gaps of x shrink those of b; the left offset
     is pinned by subtracting tail offsets.
+
+    The equation is read pointwise, with no product: write s for span.  Every
+    finite bound and image of a and b lies in [-s+2, s-2], so both are
+    translations on (-inf, -s+2] and on [s-2, +inf), by offsets of size at
+    most 2s-4.  A candidate x has its gaps in [-s, s] and both offsets in
+    [-2s, 2s], so it is a translation on (-inf, -3s) and on (3s, +inf).  a
+    sends (-inf, -5s] into (-inf, -3s) and [5s, +inf) into (3s, +inf), so a*x
+    is a translation on both, and so is b: a*x == b exactly when the two
+    agree on the key window [-5s, 5s], whose end points fix both tails.  a is
+    monotone, so it sends the key window into [-7s, 7s], where x is
+    tabulated.  At the key window's first point x acts by its left offset, so
+    a candidate whose left offset misses b there is not tabulated.
     """
     span = 0
     for e in (a, b):
@@ -209,17 +241,20 @@ def _brute_solutions(a, b):
     positions = range(-span, span + 1)
     max_gaps = len(a.ran_gaps()) + len(b.dom_gaps())
     offsets = range(-2 * span, 2 * span + 1)
+    key_window = range(-5 * span, 5 * span + 1)
+    images = [a(t) for t in key_window]
+    want = [b(t) for t in key_window]
     out = set()
     for nd in range(max_gaps + 1):
         for dg in combinations(positions, nd):
             for nr in range(len(b.ran_gaps()) + 1):
                 for rg in combinations(positions, nr):
                     for left in offsets:
-                        if abs(left + nr - nd) > 2 * span:
+                        if abs(left + nr - nd) > 2 * span or images[0] + left != want[0]:
                             continue
-                        x = element_from_gaps(dg, rg, left)
-                        if a * x == b:
-                            out.add(x)
+                        table = _tabulate(dg, rg, left, -7 * span, 7 * span)
+                        if [None if y is None else table[y + 7 * span] for y in images] == want:
+                            out.add(element_from_gaps(dg, rg, left))
     return out
 
 

@@ -1,4 +1,4 @@
-"""The canonical-form check and normalize against their call-per-segment references.
+"""The entry checks against their call-per-item references.
 
 core._check_canonical and core.normalize check segments of plain ints and
 matching infinities inline and hand anything else to _check_segment.  The
@@ -7,25 +7,53 @@ accept the same inputs and reject the others with the same exception class
 and message: every segment is checked first, then the two ends, then the
 neighbouring pairs, so where an input has two defects the order decides
 which message wins.
+
+core._check_gaps, almost._checked_pieces and almost.unit_recompose pass
+plain ints in whole-collection passes and walk the input item by item only
+when a pass fails.  Their references are that walk alone, and the same rule
+holds: same verdict, same class, same message, the first defect first.
 """
 
 import random
+import re
+from collections import namedtuple
 from enum import IntEnum
 
 import pytest
 
+from cofinj import almost, core
+from cofinj.almost import (
+    AlmostMonotoneElement,
+    UnitDecomposition,
+    _checked_pieces,
+    make_almost,
+    parse_almost,
+    random_almost,
+    random_unit,
+    unit_recompose,
+)
 from cofinj.core import (
     NEG_INF,
     POS_INF,
+    IdempotentGaps,
+    InvalidElementError,
     MonotoneElement,
     Segment,
     _check_canonical,
+    _check_gaps,
+    collapse_element,
     element_from_gaps,
     normalize,
     random_element,
 )
 
-from helpers import ref_check_canonical, ref_normalize
+from helpers import (
+    ref_check_canonical,
+    ref_check_gaps,
+    ref_checked_pieces,
+    ref_normalize,
+    ref_unit_recompose,
+)
 
 NAN = float("nan")
 
@@ -129,3 +157,262 @@ def test_int_enum_bounds_are_accepted_by_both():
     assert MonotoneElement(raw).segments == segs
     got, want = normalize(raw[::-1]), ref_normalize(raw[::-1])
     assert got == want and got.to_text() == want.to_text() == "seg[(-inf..-2,+0),(3..+inf,+1)]"
+
+
+# -- gap sets, almost-monotone middles and unit supports ---------------------------
+
+
+def _verdict(fn, *args):
+    """"ok" when fn(*args) returns, else the exception's (class, message)."""
+    try:
+        fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the class is part of the comparison
+        return type(exc), str(exc)
+    return "ok"
+
+
+SIZES = (0, 1, 3, 100, 10**4)
+BIG = 2**60
+
+
+def _valid_gap_sets():
+    rng = random.Random(22)
+    return [
+        frozenset(base + g for g in rng.sample(range(-3 * n - 5, 3 * n + 5), n))
+        for n in SIZES
+        for base in (0, BIG, -BIG)
+    ]
+
+
+def test_gap_check_accepts_valid_corpus_like_the_reference():
+    for gs in _valid_gap_sets():
+        assert ref_check_gaps(gs) is None
+        assert _check_gaps(gs) == gs == _check_gaps(sorted(gs))
+        assert IdempotentGaps(list(gs)).gaps == gs
+        if len(gs) <= 100:
+            assert collapse_element(gs).dom_gaps() == gs
+            assert element_from_gaps(gs, gs, 5).ran_gaps() == gs
+
+
+# each a list of gap positions; the comment names the defect, or the defects
+BAD_GAPS = [
+    ([True], "bool"),
+    ([1, 2.0], "float"),
+    ([NAN, 4], "nan"),
+    ([None], "None"),
+    (["3"], "str"),
+    ([0, 1.5, "x"], "float and str"),
+    ([None, True, 2.5, 7], "None, bool and float"),
+    ([*range(10**4), 0.5], "one float among 10^4 ints"),
+    ([BIG, -BIG, False], "bool among 2^60 positions"),
+]
+
+
+@pytest.mark.parametrize("raw,what", BAD_GAPS, ids=[what for _, what in BAD_GAPS])
+def test_gap_check_rejects_like_the_reference(raw, what):
+    got = _verdict(_check_gaps, raw)
+    assert got == _verdict(ref_check_gaps, frozenset(raw))
+    assert got[0] is InvalidElementError
+    for entry in (IdempotentGaps, collapse_element, lambda g: element_from_gaps(g, [], 0)):
+        assert _verdict(entry, raw) == got
+    assert _verdict(element_from_gaps, [], raw, 0) == got
+
+
+def _valid_windows():
+    """(d, dl, u, ur, middle) with middles of every size in SIZES, windows and images at 0 and 2^60."""
+    rng = random.Random(23)
+    out = []
+    for n in SIZES:
+        for base, lift in ((0, 0), (BIG, 0), (-BIG, BIG), (0, -BIG)):
+            dl, ur = rng.randint(-3, 3) + lift, rng.randint(-3, 3) + lift
+            d, u = base - n - 5, base + n + 5
+            keys = rng.sample(range(d + 1, u), n)
+            vals = rng.sample(range(d + dl + 1, u + ur), n)
+            out.append((d, dl, u, ur, dict(zip(keys, vals))))
+    return out
+
+
+def test_middle_check_accepts_valid_corpus_like_the_reference():
+    for d, dl, u, ur, mid in _valid_windows():
+        want = ref_checked_pieces(d, dl, u, ur, mid)
+        assert _checked_pieces(d, dl, u, ur, mid) == want
+        assert _checked_pieces(d, dl, u, ur, list(mid.items())) == want
+        assert make_almost(d, dl, u, ur, mid).pieces == want
+
+
+# the window (0, 10) with tails x -> x + 2 and x -> x - 1: middle points lie in
+# 1..9 and middle values in 3..8; each entry names the defect, or the defects
+W = (0, 2, 10, -1)
+BAD_MIDDLES = [
+    (W, {True: 5}, "bool point"),
+    (W, {2: True}, "bool value"),
+    (W, {2.0: 5}, "float point"),
+    (W, {2: 5.5}, "float value"),
+    (W, {NAN: 5}, "nan point"),
+    (W, {2: NAN}, "nan value"),
+    (W, {None: 5}, "None point"),
+    (W, {2: "5"}, "str value"),
+    (W, {2: 5, 0: 6}, "point at the left end"),
+    (W, {2: 5, 10: 6}, "point at the right start"),
+    (W, {-3: 5}, "point below the window"),
+    (W, {12: 5}, "point above the window"),
+    (W, {2: 5, 3: 2}, "value at the left tail's last image"),
+    (W, {2: 5, 3: 9}, "value at the right tail's first image"),
+    (W, {2: -7}, "value far below"),
+    (W, {2: 5, 3: 4, 4: 5}, "repeated value"),
+    (W, {12: 5, 2: 5.5}, "point outside, then float value"),
+    (W, {2: 5.5, 12: 5}, "float value, then point outside"),
+    (W, {2: 5, 3: 5, 4: 2}, "repeated value, then value at a tail image"),
+    (W, {4: 2, 2: 5, 3: 5}, "value at a tail image, then repeated value"),
+    (W, {2: 5, 3: 5, 12: 1, 5: "x"}, "repeated, outside and str"),
+    (W, [(2, 5), (2, 6)], "pairs listing a point twice"),
+    (W, [(2, 5), (3,)], "a pair of one"),
+    ((0.0, 2, 10, -1), {12: 5}, "float left end, point outside"),
+    ((0, True, 10, -1), {2: 5}, "bool tail offset"),
+    ((0, 2, 10, 1.0), {2: 5}, "float right offset"),
+    ((0, 2, None, -1), {}, "None right start"),
+    ((10, 2, 0, -1), {2: 5.5}, "empty window, float value"),
+    ((0, 12, 10, -1), {12: 5}, "tail images collide, point outside"),
+    ((BIG, 0, BIG + 4, 0), {BIG + 1: BIG + 2, BIG + 2: BIG + 2}, "repeated 2^60 value"),
+    ((BIG, 0, BIG + 4, 0), {BIG + 1: BIG, BIG + 2: BIG + 1}, "2^60 value at a tail image"),
+    ((BIG, 0, BIG + 4, 0), {BIG: BIG + 1}, "2^60 point at the left end"),
+]
+
+
+@pytest.mark.parametrize("tails,mid,what", BAD_MIDDLES, ids=[what for _, _, what in BAD_MIDDLES])
+def test_middle_check_rejects_like_the_reference(tails, mid, what):
+    got = _verdict(_checked_pieces, *tails, mid)
+    assert got == _verdict(ref_checked_pieces, *tails, mid)
+    assert got[0] is InvalidElementError
+    assert _verdict(make_almost, *tails, mid) == got
+    assert _verdict(AlmostMonotoneElement, *tails, mid) == got
+
+
+def _derangement(rng, points):
+    """A single cycle through the points, as (point, image) pairs."""
+    order = list(points)
+    rng.shuffle(order)
+    return tuple(zip(order, order[1:] + order[:1]))
+
+
+def _valid_supports():
+    rng = random.Random(24)
+    out = [UnitDecomposition((), k) for k in (0, 3, -BIG)]
+    # a support needs two points or none: one point would be a fixed point
+    for n in (2, 3, 100, 10**4):
+        for base, k in ((0, 0), (BIG, -3), (-BIG, BIG)):
+            out.append(UnitDecomposition(_derangement(rng, rng.sample(range(base - 2 * n, base + 2 * n), n)), k))
+    return out
+
+
+Pair = namedtuple("Pair", "point image")
+
+
+def test_unit_recompose_accepts_valid_corpus_like_the_reference():
+    for dec in _valid_supports():
+        want = ref_unit_recompose(dec)
+        assert unit_recompose(dec) == want
+        assert unit_recompose(UnitDecomposition([list(p) for p in dec.support_perm], dec.shift)) == want
+        assert unit_recompose(UnitDecomposition([Pair(*p) for p in dec.support_perm], dec.shift)) == want
+
+
+SWAP = ((0, 1), (1, 0))
+BAD_SUPPORTS = [
+    (((0, 1, 2), (1, 0)), 0, "a triple"),
+    ((0, (1, 0)), 0, "an int entry"),
+    (("ab", (1, 0)), 0, "a str entry"),
+    (({0, 1}, (1, 0)), 0, "a set entry"),
+    (((True, 0), (0, True)), 0, "bool points"),
+    (((0, 1.0), (1.0, 0)), 0, "float points"),
+    (((0, NAN), (NAN, 0)), 0, "nan points"),
+    (((0, None), (None, 0)), 0, "None points"),
+    (((0, "1"), ("1", 0)), 0, "str points"),
+    (((0, 1), (0, 2), (1, 0), (2, 0)), 0, "a repeated point"),
+    (((0, 1),), 0, "not a bijection"),
+    (((5, 5),), 0, "one point, fixed"),
+    (((0, 1), (1, 0), (2, 2)), 0, "a fixed point"),
+    (((BIG, BIG + 1), (BIG + 1, BIG)), 1.5, "float shift"),
+    (SWAP, True, "bool shift"),
+    (SWAP, None, "None shift"),
+    (((0, 1), (1, 0), (2, 2), (3, 3.5)), 0, "fixed point and float point"),
+    (((0, 1), (0, 1)), 0, "repeated pair, not a bijection"),
+    (((0, 0), (1, 2)), 0, "fixed point, not a bijection"),
+    (((0, 0),), 1.5, "fixed point, float shift"),
+]
+
+
+@pytest.mark.parametrize("support,k,what", BAD_SUPPORTS, ids=[what for _, _, what in BAD_SUPPORTS])
+def test_unit_recompose_rejects_like_the_reference(support, k, what):
+    dec = UnitDecomposition(support, k)
+    got = _verdict(unit_recompose, dec)
+    assert got == _verdict(ref_unit_recompose, dec)
+    assert got[0] is InvalidElementError
+
+
+@pytest.mark.parametrize(
+    "call,bad",
+    [
+        (lambda: IdempotentGaps(5), 5),
+        (lambda: IdempotentGaps([[1]]), [[1]]),
+        (lambda: collapse_element(None), None),
+        (lambda: element_from_gaps(5, [], 0), 5),
+        (lambda: element_from_gaps([[1]], [], 0), [[1]]),
+        (lambda: unit_recompose(UnitDecomposition(5, 0)), 5),
+    ],
+    ids=["IdempotentGaps(5)", "IdempotentGaps([[1]])", "collapse(None)", "from_gaps(5)", "from_gaps([[1]])", "unit(5)"],
+)
+def test_non_iterable_or_unhashable_input_is_an_invalid_element(call, bad):
+    with pytest.raises(InvalidElementError, match=re.escape(f"got {bad!r}")):
+        call()
+
+
+def test_int_enum_gaps_middles_and_supports_are_accepted_by_both():
+    gaps = {Level.LOW, 5}
+    assert ref_check_gaps(frozenset(gaps)) is None
+    assert IdempotentGaps(gaps).to_text() == "E{-2,5}"
+    assert element_from_gaps(gaps, [Level.HIGH], Level.HIGH).ran_gaps() == {3}
+    tails, mid = (Level.LOW, 0, Level.HIGH, 0), {0: Level.HIGH - 2, 1: 0}
+    assert _checked_pieces(*tails, mid) == ref_checked_pieces(*tails, mid)
+    assert make_almost(*tails, mid).to_text() == "am[d=-2,L=0,u=3,R=0; 0->1, 1->0]"
+    dec = UnitDecomposition(((Level.LOW, Level.HIGH), (Level.HIGH, Level.LOW)), Level.HIGH)
+    assert unit_recompose(dec) == ref_unit_recompose(dec)
+
+
+def _counting_is_int(monkeypatch):
+    calls = []
+    real = core._is_int
+
+    def counting(v):
+        calls.append(v)
+        return real(v)
+
+    monkeypatch.setattr(core, "_is_int", counting)
+    monkeypatch.setattr(almost, "_is_int", counting)
+    return calls
+
+
+def test_plain_int_input_runs_no_per_point_int_test(monkeypatch):
+    gap_sets = _valid_gap_sets()
+    windows = _valid_windows()
+    supports = _valid_supports()
+    calls = _counting_is_int(monkeypatch)
+    for gs in gap_sets:
+        IdempotentGaps(gs)
+        if len(gs) <= 100:
+            collapse_element(gs)
+            element_from_gaps(gs, gs, BIG)
+    for d, dl, u, ur, mid in windows:
+        make_almost(d, dl, u, ur, mid)
+        make_almost(d, dl, u, ur, mid.items())
+    for dec in supports:
+        unit_recompose(dec)
+    e = random_almost(25, window=50, max_middle=20)
+    AlmostMonotoneElement(e.left_end, e.left_offset, e.right_start, e.right_offset, e.middle)
+    parse_almost(e.to_text())
+    random_unit(26, window=40, max_support=30)
+    assert calls == []
+    # the patch is live: anything but a plain int takes the per-point test
+    IdempotentGaps([Level.LOW])
+    make_almost(0, 0, 3, 0, {Level.LOW + 3: 2})
+    unit_recompose(UnitDecomposition(((0, Level.HIGH), (Level.HIGH, 0)), 0))
+    assert len(calls) >= 3
