@@ -53,9 +53,9 @@ def compose_segments(a, b):
 def merge_pieces(pieces):
     """The pieces with each run of neighbours that touch and share an offset merged into one.
 
-    The code that builds translation pieces outside the kernel ends here: an
-    almost-monotone window, a map extended by finitely many points, and an
-    almost-monotone composite sorted back by domain.
+    The code that builds translation pieces outside the kernel ends here:
+    ``core._graft``, which builds every map made of finitely many points, and
+    an almost-monotone composite sorted back by domain.
     """
     merged = []
     for lo, hi, off in pieces:

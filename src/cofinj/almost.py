@@ -25,9 +25,10 @@ kernel that monotone ``*`` uses, so its cost is O(p log p) in the pieces,
 independent of the window width and the offsets.
 
 Outside data is validated once, where it enters: the constructor,
-:func:`make_almost`, :func:`parse_almost` and :func:`unit_recompose`.
-Results built from pieces of elements that are already canonical
-(compositions, inverses, conversions) are canonical by construction and
+:func:`make_almost`, :func:`parse_almost` and :func:`unit_recompose`, whose
+checked points ``core._graft`` adds to translation pieces in O(n log n).
+Results built from pieces of elements that are already canonical (units,
+compositions, inverses, conversions) are canonical by construction and
 wrapped by :meth:`AlmostMonotoneElement._trusted` without a second check.
 """
 
@@ -47,10 +48,13 @@ from .core import (
     InvalidElementError,
     MonotoneElement,
     _from_pieces,
+    _graft,
     _inverted,
     _is_int,
     _PieceMap,
+    _translation_off,
     _window,
+    identity,
 )
 
 
@@ -205,10 +209,7 @@ def _checked_pieces(d, dl, u, ur, middle) -> tuple:
             if v in seen:
                 raise InvalidElementError(f"middle is not injective: value {v} repeated")
             seen.add(v)
-    raw = [(NEG_INF, d, dl)]
-    raw += [(k, k, v - k) for k, v in sorted(mid.items())]
-    raw.append((u, POS_INF, ur))
-    return tuple(_kernel.merge_pieces(raw))
+    return tuple(_graft(((NEG_INF, d, dl), (u, POS_INF, ur)), mid.items()))
 
 
 def make_almost(left_end, left_offset, right_start, right_offset, middle) -> AlmostMonotoneElement:
@@ -252,7 +253,7 @@ def canonicalize(elem):
 
 
 def almost_identity() -> AlmostMonotoneElement:
-    return AlmostMonotoneElement(0, 0, 1, 0, {})
+    return from_monotone(identity())
 
 
 def _image_lo(piece):
@@ -371,7 +372,7 @@ def unit_recompose(dec: UnitDecomposition) -> AlmostMonotoneElement:
 
     A support of plain-int tuple or list pairs passes C-level passes over
     the entry types, their lengths and the point types; any other support is
-    checked entry by entry.
+    checked entry by entry.  The unit is built in O(s log s) for s support points.
     """
     try:
         support = tuple(dec.support_perm)
@@ -395,11 +396,8 @@ def unit_recompose(dec: UnitDecomposition) -> AlmostMonotoneElement:
     k = dec.shift
     if type(k) is not int and not _is_int(k):
         raise InvalidElementError("shift must be an integer")
-    if not perm:
-        return make_almost(0, k, 1, k, {})
-    lo, hi = min(perm), max(perm)
-    mid = {x: perm.get(x, x) + k for x in range(lo, hi + 1)}
-    return make_almost(lo - 1, k, hi + 1, k, mid)
+    base = _translation_off([(x, x) for x in sorted(perm)], k)
+    return AlmostMonotoneElement._trusted(_graft(base, [(x, y + k) for x, y in perm.items()]))
 
 
 def random_almost(seed, max_offset: int = 2, window: int = 5, max_middle: int = 6) -> AlmostMonotoneElement:

@@ -243,9 +243,18 @@ def _inverted(pieces):
     return [(lo + o, hi + o, -o) for lo, hi, o in pieces]
 
 
+def _translation_off(runs, k: int = 0) -> list:
+    """The pieces of x -> x + k off (lo, hi) runs sorted by lo, which may touch or overlap."""
+    covered = zip([lo for lo, _ in runs], accumulate([hi for _, hi in runs], max))
+    return [(lo, hi, k) for lo, hi in _gaps_between([(NEG_INF, NEG_INF), *covered, (POS_INF, POS_INF)])]
+
+
 def _graft(pieces, points) -> list:
-    """Maximal pieces of the map extended by (x, value) points outside its domain and range."""
-    return _kernel.merge_pieces(sorted([*pieces, *((x, x, v - x) for x, v in points)]))
+    """Maximal pieces of the map extended by (x, value) points outside its domain and range.
+
+    Every map built from finitely many points is built here, in O(n log n) in its pieces and points.
+    """
+    return _kernel.merge_pieces(sorted([*pieces, *[(x, x, v - x) for x, v in points]]))
 
 
 class MonotoneElement(_PieceMap):
@@ -412,9 +421,7 @@ def _collapse_cached(gaps: tuple) -> MonotoneElement:
 
 def _idempotent(runs) -> MonotoneElement:
     """The identity map off (lo, hi) gap runs sorted by lo, which may touch or overlap."""
-    covered = zip([lo for lo, _ in runs], accumulate([hi for _, hi in runs], max))
-    pieces = _gaps_between([(NEG_INF, NEG_INF), *covered, (POS_INF, POS_INF)])
-    return _from_pieces([(lo, hi, 0) for lo, hi in pieces])
+    return _from_pieces(_translation_off(runs))
 
 
 def collapse_element(gaps: Iterable[int]) -> MonotoneElement:

@@ -39,17 +39,17 @@ import random
 from bisect import bisect_left
 from itertools import chain
 
-from . import _kernel
 from .core import (
     InvalidElementError,
     MonotoneElement,
     NEG_INF,
     POS_INF,
-    _is_int,
+    _check_int,
+    _graft,
     _overlaps,
     _runs_within,
+    _translation_off,
     _window,
-    identity,
 )
 from . import almost as _almost
 
@@ -63,14 +63,8 @@ class BasicNeighborhood:
     def __init__(self, center, pins, flavor: str = "W"):
         if flavor not in ("W", "H"):
             raise InvalidElementError(f"flavor must be 'W' or 'H', got {flavor!r}")
-        pins = frozenset(pins)
-        for x in pins:
-            if not _is_int(x):
-                raise InvalidElementError(f"pins must be integers, got {x!r}")
-            if x not in center:
-                raise InvalidElementError(f"pin {x} is outside the center's domain")
         object.__setattr__(self, "center", center)
-        object.__setattr__(self, "pins", pins)
+        object.__setattr__(self, "pins", _checked_pins(pins, center, "the center's domain"))
         object.__setattr__(self, "flavor", flavor)
         object.__setattr__(self, "_draw", None)
 
@@ -105,6 +99,19 @@ class BasicNeighborhood:
         return self.to_text()
 
 
+def _checked_pins(pins, elem, domain: str) -> frozenset:
+    """Outside pins as a frozenset of integers in dom(elem); ``domain`` names dom(elem) in the message."""
+    try:
+        pins = frozenset(pins)
+    except TypeError:
+        raise InvalidElementError(f"pins must be an iterable of integers, got {pins!r}") from None
+    for x in pins:
+        _check_int(x, "pins must be integers")
+        if x not in elem:
+            raise InvalidElementError(f"pin {x} is outside {domain}")
+    return pins
+
+
 def member(nbhd: BasicNeighborhood, elem) -> bool:
     c = nbhd.center
     if nbhd.flavor == "W":
@@ -135,17 +142,12 @@ def _extent(elem, pins=()) -> int:
 
 def product_cover(a, b, pins):
     """Pin sets (F1, F2) with U_a(F1) * U_b(F2) contained in U_{a*b}(pins)."""
-    g = a * b
-    pins = frozenset(pins)
-    for x in pins:
-        if x not in g:
-            raise InvalidElementError(f"pin {x} is outside dom of the product")
+    pins = _checked_pins(pins, a * b, "dom of the product")
     # the escapes: a.inverse() applied to the domain gaps of b it is defined on
     escapes = set()
     for lo, hi, (_, _, off), _ in _overlaps(a.inverse()._pieces(), b._dom_runs()):
         escapes.update(range(lo + off, hi + off + 1))
-    f2 = frozenset(a(x) for x in pins)
-    return frozenset(pins | escapes), f2
+    return pins | escapes, frozenset(map(a, pins))
 
 
 def inverse_cover(g, pins):
@@ -156,18 +158,14 @@ def inverse_cover(g, pins):
     monotone members out of g's range gaps, so for an almost-monotone g with
     range gaps the containment holds for the monotone members alone.
     """
-    pins = frozenset(pins)
-    for x in pins:
-        if x not in g:
-            raise InvalidElementError(f"pin {x} is outside the domain")
+    pins = _checked_pins(pins, g, "the domain")
     ginv = g.inverse()
     brackets = set()
     for lo, hi in g._ran_runs():
         brackets.add(ginv(lo - 1))
         brackets.add(ginv(hi + 1))
     src = pins | brackets
-    tgt = frozenset(g(x) for x in src)
-    return frozenset(src), tgt
+    return src, frozenset(map(g, src))
 
 
 def separate(a, b):
@@ -232,7 +230,8 @@ def sample_member(nbhd: BasicNeighborhood, rng: random.Random):
     domain point of the window with its zone.  The neighborhood keeps the
     plan's draw function, so later calls only consume ``rng``; a draw from a
     reused neighborhood equals one from a fresh neighborhood with the same
-    rng state.  Plan and draws still take time linear in the window width.
+    rng state.  Plans and W draws take time linear in the window width; an
+    H draw grafts its permutations onto gap runs, so its cost follows the pieces.
     """
     draw = nbhd._draw
     if draw is None:
@@ -289,9 +288,9 @@ def _w_monotone_plan(nbhd):
                 for x in zone:
                     v += rng.randint(1, 2)
                     vals[x] = v
-        raw = [(NEG_INF, -w, vals.pop(-w) + w), (w, POS_INF, vals.pop(w) - w)]
-        raw += [(x, x, v - x) for x, v in vals.items()]
-        return MonotoneElement(_kernel.merge_pieces(sorted(raw)))
+        tails = ((NEG_INF, -w, vals.pop(-w) + w), (w, POS_INF, vals.pop(w) - w))
+        # the validating constructor: a draw checks what it builds
+        return MonotoneElement(_graft(tails, vals.items()))
 
     return draw
 
@@ -320,14 +319,10 @@ def _w_almost_plan(nbhd):
     return draw
 
 
-def _perm_of_cofinite(gaps, moved: dict) -> _almost.AlmostMonotoneElement:
-    """The bijection of Z minus gaps that applies the finite permutation ``moved``."""
-    pts = set(moved) | set(gaps)
-    if not pts:
-        return _almost.almost_identity()
-    d, u = min(pts) - 1, max(pts) + 1
-    mid = {x: moved.get(x, x) for x in range(d + 1, u) if x not in gaps}
-    return _almost.make_almost(d, 0, u, 0, mid)
+def _perm_of_cofinite(gap_runs, moved: dict) -> _almost.AlmostMonotoneElement:
+    """The bijection of Z minus the sorted gap runs that applies the finite permutation ``moved``."""
+    base = _translation_off(sorted(gap_runs + [(x, x) for x in moved]))
+    return _almost.AlmostMonotoneElement._trusted(_graft(base, moved.items()))
 
 
 def _random_perm(pts, rng):
@@ -345,11 +340,11 @@ def _h_plan(nbhd):
     pin_images = {c(x) for x in nbhd.pins}
     dom_pool = [x for x in _window_points(c, w) if x not in nbhd.pins]
     ran_pool = [y for y in _window_points(_almost.inverse_almost(c), w) if y not in pin_images]
-    dom_gaps, ran_gaps = c.dom_gaps(), c.ran_gaps()
+    dom_runs, ran_runs = c._dom_runs(), c._ran_runs()
 
     def draw(rng):
-        sigma = _perm_of_cofinite(dom_gaps, _random_perm(dom_pool, rng))
-        rho = _perm_of_cofinite(ran_gaps, _random_perm(ran_pool, rng))
+        sigma = _perm_of_cofinite(dom_runs, _random_perm(dom_pool, rng))
+        rho = _perm_of_cofinite(ran_runs, _random_perm(ran_pool, rng))
         return _almost.compose_almost(_almost.compose_almost(sigma, c), rho)
 
     return draw

@@ -143,22 +143,22 @@ def enumerate_monotone(dom_positions, max_dom, ran_positions, max_ran, offsets):
 
 
 def breaks(elem) -> set:
-    """Each finite segment start of elem, and each point just after a finite segment end.
+    """Each finite piece start of elem, and each point just after a finite piece end.
 
     Between two consecutive breaks the map is one translation or undefined
-    throughout.
+    throughout.  Either element class: both read their translation pieces.
     """
-    return {b for lo, hi, _ in elem.segments for b in (lo, hi + 1) if b not in (NEG_INF, POS_INF)}
+    return {b for lo, hi, _ in elem._pieces() for b in (lo, hi + 1) if b not in (NEG_INF, POS_INF)}
 
 
 def image_breaks(elem) -> set:
-    """The breaks of elem's inverse map, read off elem's segments."""
-    return {b + o for lo, hi, o in elem.segments for b in (lo, hi + 1) if b not in (NEG_INF, POS_INF)}
+    """The breaks of elem's inverse map, read off elem's pieces."""
+    return {b + o for lo, hi, o in elem._pieces() for b in (lo, hi + 1) if b not in (NEG_INF, POS_INF)}
 
 
 def preimage(elem, y):
-    """The x with elem(x) == y, or None; tries one candidate per segment offset."""
-    for _, _, o in elem.segments:
+    """The x with elem(x) == y, or None; tries one candidate per piece offset."""
+    for _, _, o in elem._pieces():
         if elem(y - o) == y:
             return y - o
     return None

@@ -266,3 +266,36 @@ def test_piece_arithmetic_ignores_offsets_and_window_width():
         ms, got = _fastest_ms(fn)
         assert got == want
         assert ms < 10, f"{ms:.1f} ms"
+
+
+def test_units_cost_what_their_support_costs():
+    """unit_recompose grafts the support onto the shift's pieces: under 10 ms at any span or shift."""
+    big = 10**12
+    cases = [
+        (((0, big), (big, 0)), 0,
+         ((NEG_INF, -1, 0), (0, 0, big), (1, big - 1, 0), (big, big, -big), (big + 1, POS_INF, 0))),
+        (((-1, 1), (1, -1)), WIDE,
+         ((NEG_INF, -2, WIDE), (-1, -1, WIDE + 2), (0, 0, WIDE), (1, 1, WIDE - 2), (2, POS_INF, WIDE))),
+        (((-big, WIDE), (WIDE, -big)), -WIDE,
+         ((NEG_INF, -big - 1, -WIDE), (-big, -big, big), (-big + 1, WIDE - 1, -WIDE),
+          (WIDE, WIDE, -big - 2 * WIDE), (WIDE + 1, POS_INF, -WIDE))),
+        ((), WIDE, ((NEG_INF, POS_INF, WIDE),)),
+    ]
+    for support, k, pieces in cases:
+        dec = am.UnitDecomposition(support, k)
+        ms, got = _fastest_ms(lambda: am.unit_recompose(dec))
+        assert ms < 10, f"{ms:.1f} ms"
+        assert got.pieces == pieces
+        assert am.unit_decompose(got) == dec
+
+
+def test_units_pass_the_validating_constructor_unchanged():
+    rng = random.Random(46)
+    units = [am.random_unit(rng, 3, 6, 8) for _ in range(80)]
+    # moved points that share an offset merge into one piece
+    rotation = am.unit_recompose(am.UnitDecomposition(((0, 1), (1, 2), (2, 3), (3, 0)), 2))
+    assert rotation.pieces == ((NEG_INF, -1, 2), (0, 2, 3), (3, 3, -1), (4, POS_INF, 2))
+    for u in units + [rotation, almost_identity()]:
+        _assert_trusted_almost(u)
+        assert AlmostMonotoneElement(*u._constructor_args()).pieces == u.pieces
+        assert am.unit_recompose(am.unit_decompose(u)) == u

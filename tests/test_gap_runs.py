@@ -29,6 +29,7 @@ from cofinj.core import (
     _from_runs,
     _idempotent,
     _runs_within,
+    _translation_off,
     element_from_gaps,
     identity,
     parse_element,
@@ -44,7 +45,7 @@ from cofinj.green import (
     solve_left,
     solve_right,
 )
-from cofinj.topology import BasicNeighborhood, _extent, inverse_cover, member, product_cover, separate
+from cofinj.topology import BasicNeighborhood, _extent, inverse_cover, member, product_cover, sample_member, separate
 
 from helpers import (
     expand_runs,
@@ -59,6 +60,7 @@ from helpers import (
     ref_member,
     ref_product_cover,
     ref_r_equiv,
+    ref_sample_member,
     ref_separate,
     ref_solve_right_monotone,
 )
@@ -228,6 +230,7 @@ def test_run_builders_match_point_loops():
         pts = expand_runs(runs)
         assert _collapse_runs(runs) == ref_collapse(pts), runs
         assert _idempotent(runs) == ref_idempotent(pts) == IdempotentGaps(pts).to_element(), runs
+        assert MonotoneElement(_translation_off(runs, WIDE)) == _idempotent(runs) * shift(WIDE), runs
     for d, r in zip(cases, reversed(cases)):
         k = rng.randint(-3, 3)
         want = ref_from_gaps(expand_runs(d), expand_runs(r), k)
@@ -348,3 +351,24 @@ def test_relations_membership_and_certificates_ignore_gap_width():
         ms, got = _fastest_ms(fn)
         assert got == want
         assert ms < 10, f"{ms:.1f} ms"
+
+
+def test_h_draws_ignore_gap_width_after_the_plan():
+    """An H draw grafts its permutations onto the gap runs: under 1 ms per draw, fastest of three.
+
+    The plan still lists the window's domain points, so it is built once
+    before the clock starts.  The first draw matches the point-by-point
+    sampler in helpers, which walks the 10^5-wide window.
+    """
+    c = parse_element("seg[(-inf..0,+0),(100000..+inf,+0)]")
+    nb = BasicNeighborhood(c, {0}, "H")
+    rng, r_ref = random.Random(48), random.Random(48)
+    assert sample_member(nb, rng) == ref_sample_member(nb, r_ref)
+    assert rng.getstate() == r_ref.getstate()
+    moved = 0
+    for _ in range(10):
+        ms, d = _fastest_ms(lambda: sample_member(nb, rng))
+        assert ms < 1, f"{ms:.2f} ms"
+        assert member(nb, d)
+        moved += am.canonicalize(d) != c
+    assert moved > 0

@@ -45,6 +45,46 @@ def test_neighborhood_validates_pins():
         BasicNeighborhood(identity(), {0}, "X")
 
 
+PIN_CHECKS = {
+    "nbhd": lambda pins: BasicNeighborhood(identity(), pins),
+    "product_cover": lambda pins: product_cover(identity(), identity(), pins),
+    "inverse_cover": lambda pins: inverse_cover(identity(), pins),
+}
+
+
+@pytest.mark.parametrize("check", PIN_CHECKS.values(), ids=PIN_CHECKS.keys())
+@pytest.mark.parametrize(
+    "pins,message",
+    [
+        ([1.5], "pins must be integers, got 1.5"),
+        ([True], "pins must be integers, got True"),
+        (["a"], "pins must be integers, got 'a'"),
+        (5, "pins must be an iterable of integers, got 5"),
+        (None, "pins must be an iterable of integers, got None"),
+        ([[1]], "pins must be an iterable of integers, got [[1]]"),
+    ],
+)
+def test_every_pin_set_is_checked_alike(check, pins, message):
+    with pytest.raises(InvalidElementError) as err:
+        check(pins)
+    assert str(err.value) == message
+
+
+def test_pin_checks_keep_their_domain_messages():
+    e0 = IdempotentGaps({0}).to_element()
+    calls = [
+        (lambda: BasicNeighborhood(e0, [0]), "pin 0 is outside the center's domain"),
+        (lambda: product_cover(identity(), e0, [0]), "pin 0 is outside dom of the product"),
+        (lambda: inverse_cover(e0, [0]), "pin 0 is outside the domain"),
+    ]
+    for call, message in calls:
+        with pytest.raises(InvalidElementError) as err:
+            call()
+        assert str(err.value) == message
+    assert inverse_cover(identity(), [1]) == (frozenset({1}), frozenset({1}))
+    assert product_cover(identity(), identity(), [1]) == (frozenset({1}), frozenset({1}))
+
+
 def test_pin_filtration():
     rng = random.Random(1)
     for _ in range(100):
