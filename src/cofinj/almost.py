@@ -66,7 +66,7 @@ class AlmostMonotoneElement(_PieceMap):
     be minimal.
     """
 
-    __slots__ = ("pieces",)
+    __slots__ = ()
 
     def __init__(self, left_end, left_offset, right_start, right_offset, middle):
         pieces = _checked_pieces(left_end, left_offset, right_start, right_offset, middle)
@@ -78,20 +78,6 @@ class AlmostMonotoneElement(_PieceMap):
                 f"window ({left_end}, {right_start}) is not minimal: "
                 f"the map's window is ({self.left_end}, {self.right_start})"
             )
-
-    @classmethod
-    def _trusted(cls, pieces) -> "AlmostMonotoneElement":
-        """Wrap domain-sorted maximal pieces of an injective map, unchecked."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "pieces", tuple(pieces))
-        return self
-
-    def _pieces(self) -> tuple:
-        """Domain-sorted maximal (lo, hi, offset) translation pieces, as stored."""
-        return self.pieces
-
-    def _constructor_args(self) -> tuple:
-        return (self.left_end, self.left_offset, self.right_start, self.right_offset, self.middle)
 
     # the benchmark's tracer looks these up in each element class's own namespace
     dom_gaps = _PieceMap.dom_gaps
@@ -228,7 +214,7 @@ def make_almost(left_end, left_offset, right_start, right_offset, middle) -> Alm
 
 def from_monotone(elem: MonotoneElement) -> AlmostMonotoneElement:
     """The same map in almost-monotone form: the segments are its pieces."""
-    return AlmostMonotoneElement._trusted(elem.segments)
+    return AlmostMonotoneElement._trusted(elem.pieces)
 
 
 def to_monotone(elem: AlmostMonotoneElement) -> MonotoneElement:
@@ -262,7 +248,7 @@ def _image_lo(piece):
 
 def _by_image(a) -> list:
     """a's pieces sorted by image, as the segment kernel takes a left factor."""
-    return sorted(a._pieces(), key=_image_lo)
+    return sorted(a.pieces, key=_image_lo)
 
 
 def compose_almost(a, b) -> AlmostMonotoneElement:
@@ -277,14 +263,14 @@ def compose_almost(a, b) -> AlmostMonotoneElement:
 
 def _compose_by_image(a_pieces, b) -> AlmostMonotoneElement:
     """compose_almost for a left factor given by its pieces sorted by image."""
-    out = _kernel.compose_segments(a_pieces, b._pieces())
+    out = _kernel.compose_segments(a_pieces, b.pieces)
     out.sort()
     return AlmostMonotoneElement._trusted(_kernel.merge_pieces(out))
 
 
 def inverse_almost(a) -> AlmostMonotoneElement:
     # a's pieces turned around are maximal too: merging two of them would merge two of a's
-    return AlmostMonotoneElement._trusted(sorted(_inverted(a._pieces())))
+    return AlmostMonotoneElement._trusted(sorted(_inverted(a.pieces)))
 
 
 # -- minimal exception sets ------------------------------------------------------
@@ -362,7 +348,7 @@ def unit_decompose(elem) -> UnitDecomposition:
         raise InvalidElementError("element is not a unit")
     # the tails move by k, so the support lies in the pieces with another offset
     support = tuple(
-        (x, x + off - k) for lo, hi, off in elem._pieces() if off != k for x in range(lo, hi + 1)
+        (x, x + off - k) for lo, hi, off in elem.pieces if off != k for x in range(lo, hi + 1)
     )
     return UnitDecomposition(support, k)
 

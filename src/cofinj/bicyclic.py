@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import NEG_INF, POS_INF, MonotoneElement, Segment, _check_int, identity
+from .core import NEG_INF, POS_INF, MonotoneElement, _check_int, identity
 
 LETTERS = ("p", "q")
 ORIENTATIONS = ("+", "-")
@@ -51,13 +51,13 @@ def gen(n: int, orientation: str, letter: str) -> MonotoneElement:
     _check_int(n, "index must be an integer")
     if orientation == "+":
         if letter == "p":
-            segs = (Segment(NEG_INF, n, 0), Segment(n + 1, POS_INF, 1))
+            segs = ((NEG_INF, n, 0), (n + 1, POS_INF, 1))
         else:
-            segs = (Segment(NEG_INF, n, 0), Segment(n + 2, POS_INF, -1))
+            segs = ((NEG_INF, n, 0), (n + 2, POS_INF, -1))
     elif letter == "p":
-        segs = (Segment(NEG_INF, n - 1, -1), Segment(n, POS_INF, 0))
+        segs = ((NEG_INF, n - 1, -1), (n, POS_INF, 0))
     else:
-        segs = (Segment(NEG_INF, n - 2, 1), Segment(n, POS_INF, 0))
+        segs = ((NEG_INF, n - 2, 1), (n, POS_INF, 0))
     return MonotoneElement._trusted(segs)
 
 

@@ -37,7 +37,7 @@ def _json_value(v):
                         "hi": "+inf" if hi == POS_INF else hi,
                         "offset": off,
                     }
-                    for lo, hi, off in v.segments
+                    for lo, hi, off in v.pieces
                 ],
             }
         return {

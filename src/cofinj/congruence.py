@@ -47,9 +47,9 @@ def mgc_equiv(a, b) -> bool:
 
 def unit_to_shift(elem: MonotoneElement) -> int:
     """The isomorphism from the monotone unit group onto Z(+): a unit is a shift."""
-    if not isinstance(elem, MonotoneElement) or len(elem.segments) != 1:
+    if not isinstance(elem, MonotoneElement) or len(elem.pieces) != 1:
         raise InvalidElementError("element is not a unit of the monotone monoid")
-    return elem.segments[0].offset
+    return elem.pieces[0][2]
 
 
 def signature_preimage(sig) -> MonotoneElement:
@@ -78,7 +78,7 @@ def witness_idempotent(a, b) -> "MonotoneElement":
     """
     if not mgc_equiv(a, b):
         raise InvalidElementError("elements are not congruent")
-    ps = (a._pieces(), b._pieces())
+    ps = (a.pieces, b.pieces)
     lo = min(_window(p)[0] for p in ps) + 1
     hi = max(_window(p)[1] for p in ps) - 1
     runs = sorted((s + o, t + o) for p in ps for s, t, (_, _, o), _ in _overlaps(p, [(lo, hi)]))

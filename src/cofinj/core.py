@@ -8,7 +8,9 @@ the maximal such decomposition as an ordered tuple of segments
 ``(lo, hi, offset)`` meaning ``x -> x + offset`` for ``lo <= x <= hi``; the
 first segment starts at ``-inf`` and the last ends at ``+inf``.  Maximality
 makes the segment tuple a normal form, so equality of maps is structural
-equality of segment tuples.
+equality of segment tuples.  Both element classes store it as ``pieces``, a
+tuple of plain tuples; ``MonotoneElement.segments`` is a view that builds
+the same triples as :class:`Segment` namedtuples on each read.
 
 The almost-monotone elements (:mod:`cofinj.almost`) use the same normal
 form, domain-sorted maximal pieces, only without increasing images.  What
@@ -31,18 +33,17 @@ result is a point set: ``dom_gaps()``, ``ran_gaps()``, ``IdempotentGaps``
 and the ``E{...}`` text.
 
 Every ``*`` is one pass of the segment kernel (:mod:`cofinj._kernel`), which
-merges as it emits, and one C-level wrap of its triples as Segments.  Outside
-data pays a check per segment that runs inline for plain ints; the checks
-and their messages are those of ``_check_segment``, which takes every other
-segment.
+merges as it emits, and one ``tuple`` of its output.  Outside data pays a
+check per segment that runs inline for plain ints; the checks and their
+messages are those of ``_check_segment``, which takes every other segment.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from functools import lru_cache, partial
-from itertools import accumulate, chain, filterfalse
+from functools import lru_cache
+from itertools import accumulate, chain, filterfalse, starmap
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -104,18 +105,15 @@ def _check_gaps(gaps) -> frozenset:
     return gs
 
 
-_segment = partial(tuple.__new__, Segment)  # Segment._make without its frame and length check
-
-
 def _segments(raw) -> tuple:
-    """Outside (lo, hi, offset) data as a tuple of Segments, each of length three."""
+    """Outside (lo, hi, offset) data as a tuple of plain tuples, each of length three."""
     try:
-        segs = tuple(map(_segment, raw))
+        segs = tuple(map(tuple, raw))
     except TypeError:
         raise InvalidElementError("segments must be an iterable of (lo, hi, offset) triples") from None
     if {*map(len, segs)} - {3}:
         bad = next(s for s in segs if len(s) != 3)
-        raise InvalidElementError(f"a segment must be a (lo, hi, offset) triple, got {tuple(bad)!r}")
+        raise InvalidElementError(f"a segment must be a (lo, hi, offset) triple, got {bad!r}")
     return segs
 
 
@@ -131,55 +129,69 @@ def _check_segments(segs):
             _check_segment(lo, hi, offset)
 
 
-def _check_canonical(segs):
+def _check_canonical(segs, monotone: bool = True):
+    """The check of a maximal piece tuple; the images increase when ``monotone``, else they are disjoint."""
     if not segs:
         raise InvalidElementError("an element needs at least one segment")
     _check_segments(segs)
-    if segs[0].lo != NEG_INF:
+    if segs[0][0] != NEG_INF:
         raise InvalidElementError("leftmost segment must extend to -inf")
-    if segs[-1].hi != POS_INF:
+    if segs[-1][1] != POS_INF:
         raise InvalidElementError("rightmost segment must extend to +inf")
     for (lo1, hi1, o1), (lo2, hi2, o2) in zip(segs, segs[1:]):
         if not hi1 < lo2:
             raise InvalidElementError("segments overlap or are out of order")
-        if not hi1 + o1 < lo2 + o2:
+        if monotone and not hi1 + o1 < lo2 + o2:
             raise InvalidElementError("segment images overlap or are out of order")
         if hi1 + 1 == lo2 and o1 == o2:
             raise InvalidElementError("adjacent segments with equal offset must be merged")
+    if not monotone:
+        images = sorted([(lo + o, hi + o) for lo, hi, o in segs])
+        if any(s[1] >= t[0] for s, t in zip(images, images[1:])):
+            raise InvalidElementError("segment images overlap")
 
 
 class _PieceMap:
     """What both element classes read off their translation pieces alone.
 
-    A subclass stores the domain-sorted maximal (lo, hi, offset) pieces of
-    its map and returns them from ``_pieces()``: ``x -> x + offset`` for
+    ``pieces`` is the tuple of the map's domain-sorted maximal (lo, hi,
+    offset) pieces, each a plain tuple: ``x -> x + offset`` for
     ``lo <= x <= hi``, the first piece from -inf and the last to +inf.
     """
 
-    __slots__ = ()
+    __slots__ = ("pieces",)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    @classmethod
+    def _trusted(cls, pieces):
+        """Wrap domain-sorted maximal pieces that are canonical by construction, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "pieces", tuple(pieces))
+        return self
+
     def __reduce__(self):
-        # copies and pickles rebuild through the class's validating constructor
-        return (type(self), self._constructor_args())
+        # copies and pickles rebuild from the pieces, checked, in time independent of the widths
+        return (_unpickled, (type(self), self.pieces))
 
     # -- pointwise semantics ------------------------------------------------
 
     def __call__(self, x: int) -> int | None:
-        """Value at x, or None when x is outside the domain."""
-        pieces = self._pieces()
+        """Value at the integer x, or None when x is outside the domain."""
+        if type(x) is not int:
+            _check_int(x, "points must be integers")
+        pieces = self.pieces
         lo, hi, offset = pieces[bisect_right(pieces, x, key=_lo) - 1]
         if x <= hi:
             return x + offset
         return None
 
-    def __contains__(self, x: int) -> bool:
-        return self(x) is not None
+    def __contains__(self, x) -> bool:
+        return _is_int(x) and self(x) is not None
 
     def is_idempotent(self) -> bool:
-        return not any(map(_offset, self._pieces()))
+        return not any(map(_offset, self.pieces))
 
     def __invert__(self):
         return self.inverse()
@@ -188,19 +200,19 @@ class _PieceMap:
 
     @property
     def left_offset(self) -> int:
-        return self._pieces()[0][2]
+        return self.pieces[0][2]
 
     @property
     def right_offset(self) -> int:
-        return self._pieces()[-1][2]
+        return self.pieces[-1][2]
 
     def _dom_runs(self) -> list:
         """The domain gaps as sorted maximal (lo, hi) runs, read off neighbouring pieces."""
-        return _gaps_between(self._pieces())
+        return _gaps_between(self.pieces)
 
     def _ran_runs(self) -> list:
         """The range gaps as sorted maximal (lo, hi) runs, read off the piece images."""
-        return _gaps_between(sorted([(lo + o, hi + o) for lo, hi, o in self._pieces()]))
+        return _gaps_between(sorted([(lo + o, hi + o) for lo, hi, o in self.pieces]))
 
     def dom_gaps(self) -> frozenset:
         """Every integer outside the domain; its size grows with the gap widths."""
@@ -262,7 +274,9 @@ class MonotoneElement(_PieceMap):
 
     Instances are immutable and hashable; two elements are equal iff they
     are equal as partial maps, which the normal form turns into tuple
-    equality.  Use :func:`normalize` (or the constructors ``identity``,
+    equality.  The segments are stored as ``pieces``, plain tuples;
+    ``segments`` returns them as :class:`Segment` namedtuples, a new tuple
+    per read.  Use :func:`normalize` (or the constructors ``identity``,
     ``shift``, ``element_from_gaps``) rather than building segment lists by
     hand.
 
@@ -275,30 +289,20 @@ class MonotoneElement(_PieceMap):
     either way.  Results computed from elements that are already canonical
     (``*``, :meth:`inverse`, collapses, ``IdempotentGaps.to_element``, the
     bicyclic generators, the solvers' candidates) are canonical by
-    construction and are wrapped by :meth:`_trusted` without a second check;
-    ``_from_pieces`` turns the kernel's triples into Segments at C level.
+    construction and are wrapped by :meth:`_trusted` without a second check.
     """
 
-    __slots__ = ("segments",)
+    __slots__ = ()
 
     def __init__(self, segments: Iterable[tuple]):
         segs = _segments(segments)
         _check_canonical(segs)
-        object.__setattr__(self, "segments", segs)
+        object.__setattr__(self, "pieces", segs)
 
-    @classmethod
-    def _trusted(cls, segs: tuple) -> "MonotoneElement":
-        """Wrap a tuple of Segments that is canonical by construction, unchecked."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "segments", segs)
-        return self
-
-    def _pieces(self) -> tuple:
-        """Domain-sorted maximal (lo, hi, offset) translation pieces: the segments themselves."""
-        return self.segments
-
-    def _constructor_args(self) -> tuple:
-        return (self.segments,)
+    @property
+    def segments(self) -> tuple:
+        """The pieces as Segments, a new tuple per read."""
+        return tuple(starmap(Segment, self.pieces))
 
     # the benchmark's tracer looks these up in each element class's own namespace
     dom_gaps = _PieceMap.dom_gaps
@@ -308,34 +312,34 @@ class MonotoneElement(_PieceMap):
 
     def __mul__(self, other):
         if isinstance(other, MonotoneElement):
-            return _from_pieces(_kernel.compose_segments(self.segments, other.segments))
+            return _from_pieces(_kernel.compose_segments(self.pieces, other.pieces))
         return NotImplemented
 
     def inverse(self) -> "MonotoneElement":
         # the images of a canonical segment list, read as domains, are canonical too
-        return _from_pieces(_inverted(self.segments))
+        return _from_pieces(_inverted(self.pieces))
 
     # -- equality and text ----------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, MonotoneElement):
-            return self.segments == other.segments
+            return self.pieces == other.pieces
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.segments)
+        return hash(self.pieces)
 
     def to_text(self) -> str:
         """Canonical text: most specific of id / shift(k) / E{...} / seg[...]."""
-        if len(self.segments) == 1:
-            k = self.segments[0].offset
+        if len(self.pieces) == 1:
+            k = self.pieces[0][2]
             return "id" if k == 0 else f"shift({k})"
         if self.is_idempotent():
             return "E{" + ",".join(map(str, _run_ints(self._dom_runs()))) + "}"
         return self.to_seg_text()
 
     def to_seg_text(self) -> str:
-        segs = self.segments
+        segs = self.pieces
         if len(segs) == 1:
             return f"seg[(-inf..+inf,{segs[0][2]:+d})]"
         # only the two outer bounds are infinite
@@ -348,8 +352,15 @@ class MonotoneElement(_PieceMap):
 
 
 def _from_pieces(pieces) -> MonotoneElement:
-    """The element whose canonical segments are the (lo, hi, offset) triples ``pieces``, unchecked."""
-    return MonotoneElement._trusted(tuple(map(_segment, pieces)))
+    """The element whose canonical segments are the (lo, hi, offset) tuples ``pieces``, stored unchecked."""
+    return MonotoneElement._trusted(pieces)
+
+
+def _unpickled(cls, pieces):
+    """A copied or unpickled element of ``cls``: its pieces checked as outside data."""
+    segs = _segments(pieces)
+    _check_canonical(segs, issubclass(cls, MonotoneElement))
+    return cls._trusted(segs)
 
 
 # -- constructors -------------------------------------------------------------
@@ -452,7 +463,7 @@ def _from_runs(dom_runs, ran_runs, k: int) -> MonotoneElement:
 def _joined(left: MonotoneElement, k: int, right: MonotoneElement) -> MonotoneElement:
     """The collapse ``left``, then x -> x + k, then the inverse of the collapse ``right``."""
     if k:
-        left = _from_pieces([(lo, hi, o + k) for lo, hi, o in left.segments])
+        left = _from_pieces([(lo, hi, o + k) for lo, hi, o in left.pieces])
     return left * right.inverse()
 
 
@@ -582,7 +593,7 @@ class IdempotentGaps:
 
     def to_element(self) -> MonotoneElement:
         # the collapse of the same gaps has the same domain; zero its offsets
-        segs = _collapse_cached(tuple(sorted(self.gaps))).segments
+        segs = _collapse_cached(tuple(sorted(self.gaps))).pieces
         return _from_pieces([(lo, hi, 0) for lo, hi, _ in segs])
 
     def leq(self, other: "IdempotentGaps") -> bool:

@@ -127,7 +127,7 @@ def _right_solutions(a, b, within):
     options = [_cell_options(points, values, pair) for points, values in cells(a, forced)]
     out = []
     for combo in product(*options):
-        x = wrap(_graft(forced._pieces(), (p for opt in combo for p in opt)))
+        x = wrap(_graft(forced.pieces, (p for opt in combo for p in opt)))
         assert check(x) == b
         out.append(x)
     return out

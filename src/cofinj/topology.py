@@ -129,7 +129,7 @@ def _extent(elem, pins=()) -> int:
     An almost-monotone total translation also counts its window (0, 1); a
     monotone one adds no ends.
     """
-    pieces = elem._pieces()
+    pieces = elem.pieces
     ends = [v for lo, hi, o in pieces for e in (lo, hi) if abs(e) != POS_INF for v in (e, e + o)]
     if isinstance(elem, _almost.AlmostMonotoneElement):
         d, u = _window(pieces)
@@ -145,7 +145,7 @@ def product_cover(a, b, pins):
     pins = _checked_pins(pins, a * b, "dom of the product")
     # the escapes: a.inverse() applied to the domain gaps of b it is defined on
     escapes = set()
-    for lo, hi, (_, _, off), _ in _overlaps(a.inverse()._pieces(), b._dom_runs()):
+    for lo, hi, (_, _, off), _ in _overlaps(a.inverse().pieces, b._dom_runs()):
         escapes.update(range(lo + off, hi + off + 1))
     return pins | escapes, frozenset(map(a, pins))
 
@@ -178,7 +178,7 @@ def separate(a, b):
     """
     if _almost.canonicalize(a) == _almost.canonicalize(b):
         raise InvalidElementError("cannot separate an element from itself")
-    overlaps = _overlaps(a._pieces(), b._pieces())
+    overlaps = _overlaps(a.pieces, b.pieces)
     x = _nearest_zero((lo, hi) for lo, hi, p, q in overlaps if p[2] != q[2])
     if x is not None:
         return frozenset({x}), frozenset({x})
@@ -251,7 +251,7 @@ def _plan(nbhd):
 
 def _window_points(elem, w: int) -> list:
     """The domain points of elem in [-w, w], increasing, read off its pieces."""
-    return [x for lo, hi, _ in elem._pieces() for x in range(max(lo, -w), min(hi, w) + 1)]
+    return [x for lo, hi, _ in elem.pieces for x in range(max(lo, -w), min(hi, w) + 1)]
 
 
 def _w_monotone_plan(nbhd):

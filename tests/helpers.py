@@ -148,17 +148,17 @@ def breaks(elem) -> set:
     Between two consecutive breaks the map is one translation or undefined
     throughout.  Either element class: both read their translation pieces.
     """
-    return {b for lo, hi, _ in elem._pieces() for b in (lo, hi + 1) if b not in (NEG_INF, POS_INF)}
+    return {b for lo, hi, _ in elem.pieces for b in (lo, hi + 1) if b not in (NEG_INF, POS_INF)}
 
 
 def image_breaks(elem) -> set:
     """The breaks of elem's inverse map, read off elem's pieces."""
-    return {b + o for lo, hi, o in elem._pieces() for b in (lo, hi + 1) if b not in (NEG_INF, POS_INF)}
+    return {b + o for lo, hi, o in elem.pieces for b in (lo, hi + 1) if b not in (NEG_INF, POS_INF)}
 
 
 def preimage(elem, y):
     """The x with elem(x) == y, or None; tries one candidate per piece offset."""
-    for _, _, o in elem._pieces():
+    for _, _, o in elem.pieces:
         if elem(y - o) == y:
             return y - o
     return None

@@ -94,7 +94,7 @@ def _wide_domain(e):
 
 
 def _is_translation(e):
-    return len(e._pieces()) == 1
+    return len(e.pieces) == 1
 
 
 def _corpus(rng):
@@ -150,7 +150,7 @@ def test_pieces_are_maximal_and_expand_to_the_map():
     every, _ = _pairs(rng)
     every += [_wide(e) for e in every[::3]] + [_wide_domain(e) for e in every[1::3]]
     for e in every:
-        ps = e._pieces()
+        ps = e.pieces
         assert ps[0][0] == NEG_INF and ps[-1][1] == POS_INF
         for (lo1, hi1, o1), (lo2, hi2, o2) in zip(ps, ps[1:]):
             assert lo1 <= hi1 < lo2 <= hi2
@@ -222,7 +222,7 @@ def test_extend_almost_matches_window_walk():
         for _ in range(4):
             extra = _extras(base, rng)
             # the almost-monotone solver wraps each grafted candidate this way
-            got = AlmostMonotoneElement._trusted(_graft(base._pieces(), extra.items()))
+            got = AlmostMonotoneElement._trusted(_graft(base.pieces, extra.items()))
             _assert_same_almost(got, ref_extend_almost(base, extra))
             grown += got.left_end > base.left_end
     assert grown > 0
@@ -297,5 +297,5 @@ def test_units_pass_the_validating_constructor_unchanged():
     assert rotation.pieces == ((NEG_INF, -1, 2), (0, 2, 3), (3, 3, -1), (4, POS_INF, 2))
     for u in units + [rotation, almost_identity()]:
         _assert_trusted_almost(u)
-        assert AlmostMonotoneElement(*u._constructor_args()).pieces == u.pieces
+        assert AlmostMonotoneElement(u.left_end, u.left_offset, u.right_start, u.right_offset, u.middle).pieces == u.pieces
         assert am.unit_recompose(am.unit_decompose(u)) == u

@@ -38,7 +38,7 @@ BIG = 10**12
 @pytest.fixture(autouse=True, scope="module")
 def _pieces_as_repr():
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(core._PieceMap, "__repr__", lambda self: f"{type(self).__name__}({self._pieces()})")
+        m.setattr(core._PieceMap, "__repr__", lambda self: f"{type(self).__name__}({self.pieces})")
         yield
 
 
