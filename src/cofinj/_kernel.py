@@ -53,16 +53,18 @@ def compose_segments(a, b):
 def merge_pieces(pieces):
     """The pieces with each run of neighbours that touch and share an offset merged into one.
 
-    The code that builds translation pieces outside the kernel ends here:
-    ``core._graft``, which builds every map made of finitely many points, and
-    an almost-monotone composite sorted back by domain.
+    Every graft, solver candidate and almost-monotone composite ends here, by
+    way of ``core._merged``.  The last output piece is kept in locals, and a
+    piece that merges with nothing is appended as given.
     """
     merged = []
-    for lo, hi, off in pieces:
-        if merged:
-            plo, phi, poff = merged[-1]
-            if poff == off and phi + 1 == lo:
-                merged[-1] = (plo, hi, poff)
-                continue
-        merged.append((lo, hi, off))
+    plo = phi = poff = None  # the last output piece
+    for piece in pieces:
+        lo, hi, off = piece
+        if off == poff and phi + 1 == lo:
+            merged[-1] = (plo, hi, off)
+        else:
+            merged.append(piece)
+            plo, poff = lo, off
+        phi = hi
     return merged

@@ -51,7 +51,9 @@ from .core import (
     _graft,
     _inverted,
     _is_int,
+    _merged,
     _PieceMap,
+    _run_points,
     _translation_off,
     _window,
     identity,
@@ -258,14 +260,12 @@ def compose_almost(a, b) -> AlmostMonotoneElement:
     pieces; the kernel's output, sorted back by domain and merged, is the
     result.
     """
-    return _compose_by_image(_by_image(a), b)
+    return AlmostMonotoneElement._trusted(_composite(_by_image(a), b.pieces))
 
 
-def _compose_by_image(a_pieces, b) -> AlmostMonotoneElement:
-    """compose_almost for a left factor given by its pieces sorted by image."""
-    out = _kernel.compose_segments(a_pieces, b.pieces)
-    out.sort()
-    return AlmostMonotoneElement._trusted(_kernel.merge_pieces(out))
+def _composite(a_pieces, b_pieces) -> list:
+    """The maximal pieces of a then b, for a left factor given by its pieces sorted by image."""
+    return _merged(_kernel.compose_segments(a_pieces, b_pieces))
 
 
 def inverse_almost(a) -> AlmostMonotoneElement:
@@ -281,40 +281,48 @@ def minimal_exceptions(elem) -> frozenset:
 
     Only middle points can take part in an order violation (tail images bracket
     every middle value), so the kept points are a longest increasing run of
-    middle values.  A backward pass gives each middle point its run, the
-    length of the longest increasing run of middle values that starts there.
-    One forward pass then keeps, for each run length still needed, the last
-    point that starts a run of that length above the values kept so far:
-    every point it passes over is removed as early as possible, so among all
-    minimum witnesses this removes the lexicographically smallest set.
-    Quadratic in the middle points.
+    middle values; inner pieces have disjoint image intervals, so such a run
+    takes each inner piece whole or not at all.  A backward pass gives each
+    inner piece its run, the largest length of an increasing run of pieces
+    that starts there.  One forward pass then keeps, for each run length still
+    needed, the last piece that starts a run of that length above the values
+    kept so far: every piece it passes over is removed as early as possible,
+    so among all minimum witnesses this removes the lexicographically smallest
+    set.  Quadratic in the inner pieces, whatever their widths.
     """
+    return _run_points([p[:2] for p in _removed_pieces(elem)])
+
+
+def _removed_pieces(elem) -> list:
+    """The inner pieces that minimal_exceptions removes, in domain order."""
     if isinstance(elem, MonotoneElement):
-        return frozenset()
-    later = []  # (value, run) of the points after the current one
-    points = []  # (point, value, run, value of the next point with that run), last point first
+        return []
+    later = []  # (first value, run) of the pieces after the current one
+    pieces = []  # (piece, first value, run, first value of the next piece with that run), last piece first
     next_of_run = {}
-    for k, v in reversed(elem.middle.items()):
-        r = 1
+    for piece in reversed(elem.pieces[1:-1]):
+        lo, hi, off = piece
+        v = lo + off
+        best = 0
         for w, s in later:
-            if w > v and s >= r:
-                r = s + 1
+            if w > v and s > best:
+                best = s
+        r = hi - lo + 1 + best
         later.append((v, r))
-        points.append((k, v, r, next_of_run.get(r, NEG_INF)))
+        pieces.append((piece, v, r, next_of_run.get(r, NEG_INF)))
         next_of_run[r] = v
-    # every run length up to the longest occurs; points of one run length
-    # have decreasing values, so a point is the last one above the floor
-    # exactly when the next point of its run length is not
-    need = len(next_of_run)
+    # pieces of one run length have decreasing values, so a piece is the last
+    # one above the floor exactly when the next piece of its run length is not
+    need = max(next_of_run, default=0)
     floor = NEG_INF
     removed = []
-    for k, v, r, after in reversed(points):
+    for (lo, hi, off), v, r, after in reversed(pieces):
         if r == need and v > floor >= after:
-            floor = v
-            need -= 1
+            floor = hi + off
+            need -= hi - lo + 1
         else:
-            removed.append(k)
-    return frozenset(removed)
+            removed.append((lo, hi, off))
+    return removed
 
 
 def monotonizers(elem):
@@ -324,9 +332,9 @@ def monotonizers(elem):
     accordingly, and the third is their meet; composing on the matching side
     always lands back in the monotone monoid.
     """
-    exc = minimal_exceptions(elem)
-    left = IdempotentGaps(elem.dom_gaps() | exc)
-    right = IdempotentGaps(elem.ran_gaps() | {elem(x) for x in exc})
+    removed = _removed_pieces(elem)
+    left = IdempotentGaps(elem.dom_gaps() | _run_points([p[:2] for p in removed]))
+    right = IdempotentGaps(elem.ran_gaps() | _run_points([(lo + o, hi + o) for lo, hi, o in removed]))
     return left, right, left.meet(right)
 
 

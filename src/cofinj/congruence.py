@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import InvalidElementError, MonotoneElement, _from_runs, _idempotent, _overlaps, _window, shift
+from .core import InvalidElementError, MonotoneElement, _from_runs, _idempotent, _window, shift
 from .almost import AlmostMonotoneElement
 
 
@@ -74,12 +74,18 @@ def witness_idempotent(a, b) -> "MonotoneElement":
     existence is the congruence criterion for the minimal group congruence.
     The shared window spans both maps' windows (``core._window``); the gaps
     are the images of each map's pieces clipped to the open window, as runs;
-    sorted together, they are the gap runs of the idempotent.
+    sorted together, they are the gap runs of the idempotent.  Inner pieces
+    lie inside the window, so only the tails are clipped.
     """
     if not mgc_equiv(a, b):
         raise InvalidElementError("elements are not congruent")
     ps = (a.pieces, b.pieces)
     lo = min(_window(p)[0] for p in ps) + 1
     hi = max(_window(p)[1] for p in ps) - 1
-    runs = sorted((s + o, t + o) for p in ps for s, t, (_, _, o), _ in _overlaps(p, [(lo, hi)]))
+    runs = [(s + o, t + o) for p in ps for s, t, o in p[1:-1]]
+    for s, t, o in (p[i] for p in ps for i in (0, -1)):
+        s, t = max(s, lo), min(t, hi)
+        if s <= t:
+            runs.append((s + o, t + o))
+    runs.sort()
     return _idempotent(runs)

@@ -261,12 +261,17 @@ def _translation_off(runs, k: int = 0) -> list:
     return [(lo, hi, k) for lo, hi in _gaps_between([(NEG_INF, NEG_INF), *covered, (POS_INF, POS_INF)])]
 
 
-def _graft(pieces, points) -> list:
-    """Maximal pieces of the map extended by (x, value) points outside its domain and range.
+def _merged(pieces) -> list:
+    """Maximal pieces of (lo, hi, offset) pieces with disjoint domains, given in any order.
 
-    Every map built from finitely many points is built here, in O(n log n) in its pieces and points.
+    Every map built from finitely many pieces is built here, in O(n log n) in its pieces.
     """
-    return _kernel.merge_pieces(sorted([*pieces, *[(x, x, v - x) for x, v in points]]))
+    return _kernel.merge_pieces(sorted(pieces))
+
+
+def _graft(pieces, points) -> list:
+    """Maximal pieces of the map extended by (x, value) points outside its domain and range."""
+    return _merged([*pieces, *[(x, x, v - x) for x, v in points]])
 
 
 class MonotoneElement(_PieceMap):
@@ -341,14 +346,10 @@ class MonotoneElement(_PieceMap):
     def to_seg_text(self) -> str:
         segs = self.pieces
         if len(segs) == 1:
-            return f"seg[(-inf..+inf,{segs[0][2]:+d})]"
-        # only the two outer bounds are infinite
-        _, first_hi, first_o = segs[0]
-        last_lo, _, last_o = segs[-1]
-        parts = [f"(-inf..{first_hi},{first_o:+d})"]
-        parts += [f"({lo}..{hi},{o:+d})" for lo, hi, o in segs[1:-1]]
-        parts.append(f"({last_lo}..+inf,{last_o:+d})")
-        return "seg[" + ",".join(parts) + "]"
+            return "seg[(-inf..+inf,%+d)]" % segs[0][2]
+        # only the two outer bounds are infinite; %d writes an int subclass such as IntEnum by value
+        inner = "".join(map("(%d..%d,%+d),".__mod__, segs[1:-1]))
+        return "seg[(-inf..%d,%+d),%s(%d..+inf,%+d)]" % (*segs[0][1:], inner, segs[-1][0], segs[-1][2])
 
 
 def _from_pieces(pieces) -> MonotoneElement:

@@ -8,15 +8,17 @@ of the R/L/H relations, the factorization and the H-class members does not
 grow with the gap widths.  One solver enumerates the full (finite) solution
 set of a*x == b or x*a == b, inside the monotone monoid or inside the
 almost-monotone one.  It reads its cells off gap runs, and it lists a cell's
-points only when the cell has room for an extra point.
+points only when the cell has room for an extra point.  Each candidate costs
+only its own pieces, its check against the full product and its text.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations, groupby, permutations, product
-from operator import itemgetter
+from itertools import chain, combinations, groupby, permutations, product
+from operator import itemgetter, methodcaller
 
+from . import _kernel
 from .core import (
     IdempotentGaps,
     InvalidElementError,
@@ -25,7 +27,7 @@ from .core import (
     _collapse_runs,
     _from_pieces,
     _from_runs,
-    _graft,
+    _merged,
     _overlaps,
     _runs_within,
 )
@@ -79,8 +81,7 @@ def h_class_members(elem: MonotoneElement, alignments) -> list:
 # -- finite equation solving ------------------------------------------------------
 
 
-def _text_key(elem):
-    return elem.to_text()
+_text_key = methodcaller("to_text")
 
 
 def solve_right(a, b, within: str | None = None):
@@ -106,30 +107,35 @@ def _right_solutions(a, b, within):
     Each solution is forced = a^-1 * b grafted with one extension per cell:
     n of the cell's free points sent to n of its values by the monoid's
     pairing rule.  The monoid is picked once, as data: its cells, its pairing
-    rule, the wrapper of a grafted candidate and the product that checks it.
+    rule, the product that checks a candidate and the wrapper of one that passes.
+    A candidate's pieces are one sort-and-merge of forced's pieces with its
+    options' point pieces; the full product a*x is compared with b on that
+    raw list, and only a candidate that passes is wrapped.
     """
     if within is None:
         within = "almost" if isinstance(a, _AM) or isinstance(b, _AM) else "monotone"
     if within == "almost":
         a, b = _almost.as_almost(a), _almost.as_almost(b)
         # a's pieces are sorted by image once; each check is the full product a*x
-        check = partial(_almost._compose_by_image, _almost._by_image(a))
+        check = partial(_almost._composite, _almost._by_image(a))
         cells, pair, wrap = _almost_cells, permutations, _AM._trusted
     elif within != "monotone":
         raise ValueError(f"unknown monoid {within!r}")
     elif isinstance(a, _AM) or isinstance(b, _AM):
         raise InvalidElementError("the monotone monoid takes monotone elements")
     else:
-        cells, pair, wrap, check = _monotone_cells, combinations, _from_pieces, a.__mul__
+        check = partial(_kernel.compose_segments, a.pieces)
+        cells, pair, wrap = _monotone_cells, combinations, _from_pieces
     if not _runs_within(a._dom_runs(), b._dom_runs()):
         return ()
     forced = a.inverse() * b
     options = [_cell_options(points, values, pair) for points, values in cells(a, forced)]
+    base, want = forced.pieces, list(b.pieces)
     out = []
     for combo in product(*options):
-        x = wrap(_graft(forced.pieces, (p for opt in combo for p in opt)))
-        assert check(x) == b
-        out.append(x)
+        pieces = _merged([*base, *chain.from_iterable(combo)])
+        assert check(pieces) == want
+        out.append(wrap(pieces))
     return out
 
 
@@ -150,7 +156,7 @@ def _almost_cells(a, forced):
 
 
 def _cell_options(point_runs, value_runs, pair) -> list:
-    """Each extension of one cell, as (point, value) pairs; the empty one alone if a side is empty.
+    """Each extension of one cell, as its point pieces (x, x, value - x) sorted by x; () alone if a side is empty.
 
     Both sides are checked as runs, so an empty side lists no points.
     """
@@ -158,7 +164,7 @@ def _cell_options(point_runs, value_runs, pair) -> list:
         return [()]
     points, values = ([x for lo, hi in runs for x in range(lo, hi + 1)] for runs in (point_runs, value_runs))
     return [
-        tuple(zip(chosen, vals))
+        tuple([(x, x, v - x) for x, v in zip(chosen, vals)])
         for n in range(min(len(points), len(values)) + 1)
         for chosen in combinations(points, n)
         for vals in pair(values, n)

@@ -11,6 +11,7 @@ from cofinj.almost import AlmostMonotoneElement, _middle_dict, compose_almost, i
 from cofinj.core import (
     NEG_INF,
     POS_INF,
+    IdempotentGaps,
     InvalidElementError,
     MonotoneElement,
     Segment,
@@ -120,6 +121,43 @@ def ref_minimal_exceptions(middle: dict) -> frozenset:
             floor = vals[i]
     assert budget == 0
     return frozenset(removed)
+
+
+def point_minimal_exceptions(middle: dict) -> frozenset:
+    """The same witness as ``ref_minimal_exceptions``, by the quadratic longest-run table over points.
+
+    This is ``almost.minimal_exceptions`` as it read every middle point; the
+    library now runs the same table over whole inner pieces.
+    """
+    later = []  # (value, run) of the points after the current one
+    points = []  # (point, value, run, value of the next point with that run), last point first
+    next_of_run = {}
+    for k, v in reversed(sorted(middle.items())):
+        r = 1
+        for w, s in later:
+            if w > v and s >= r:
+                r = s + 1
+        later.append((v, r))
+        points.append((k, v, r, next_of_run.get(r, NEG_INF)))
+        next_of_run[r] = v
+    need = len(next_of_run)
+    floor = NEG_INF
+    removed = []
+    for k, v, r, after in reversed(points):
+        if r == need and v > floor >= after:
+            floor = v
+            need -= 1
+        else:
+            removed.append(k)
+    return frozenset(removed)
+
+
+def point_monotonizers(elem):
+    """almost.monotonizers as it was: the removed points' images read one call at a time."""
+    exc = point_minimal_exceptions(elem.middle) if isinstance(elem, AlmostMonotoneElement) else frozenset()
+    left = IdempotentGaps(elem.dom_gaps() | exc)
+    right = IdempotentGaps(elem.ran_gaps() | {elem(x) for x in exc})
+    return left, right, left.meet(right)
 
 
 def enumerate_monotone(dom_positions, max_dom, ran_positions, max_ran, offsets):
@@ -650,8 +688,13 @@ def ref_composite_pieces(a, b) -> list:
 
 def ref_compose_segments(a, b) -> list:
     """The two-pass kernel: the first pass, then the merge of touching equal-offset neighbours."""
+    return ref_merge_pieces(ref_composite_pieces(a, b))
+
+
+def ref_merge_pieces(pieces) -> list:
+    """The merge of touching equal-offset neighbours, re-reading the last output piece each time."""
     merged = []
-    for lo, hi, off in ref_composite_pieces(a, b):
+    for lo, hi, off in pieces:
         if merged:
             plo, phi, poff = merged[-1]
             if poff == off and phi + 1 == lo:
@@ -659,6 +702,34 @@ def ref_compose_segments(a, b) -> list:
                 continue
         merged.append((lo, hi, off))
     return merged
+
+
+def ref_to_text(elem) -> str:
+    """Canonical text as the f-string writers made it, for either element class."""
+    p = elem.pieces
+    if isinstance(elem, AlmostMonotoneElement):
+        d, u = (p[0][1], p[-1][0]) if len(p) > 1 else (0, 1)
+        body = f"d={d},L={p[0][2]},u={u},R={p[-1][2]}"
+        pairs = ", ".join([f"{x}->{x + off}" for lo, hi, off in p[1:-1] for x in range(lo, hi + 1)])
+        return f"am[{body}; {pairs}]" if pairs else f"am[{body};]"
+    if len(p) == 1:
+        return "id" if p[0][2] == 0 else f"shift({p[0][2]})"
+    if elem.is_idempotent():
+        return "E{" + ",".join(str(g) for g in sorted(elem.dom_gaps())) + "}"
+    return ref_seg_text(elem)
+
+
+def ref_seg_text(elem) -> str:
+    """MonotoneElement.to_seg_text as the f-string writer made it."""
+    segs = elem.pieces
+    if len(segs) == 1:
+        return f"seg[(-inf..+inf,{segs[0][2]:+d})]"
+    _, first_hi, first_o = segs[0]
+    last_lo, _, last_o = segs[-1]
+    parts = [f"(-inf..{first_hi},{first_o:+d})"]
+    parts += [f"({lo}..{hi},{o:+d})" for lo, hi, o in segs[1:-1]]
+    parts.append(f"({last_lo}..+inf,{last_o:+d})")
+    return "seg[" + ",".join(parts) + "]"
 
 
 def ref_check_canonical(segs):

@@ -1,8 +1,19 @@
 import random
+import timeit
 
 import pytest
 
-from cofinj.core import IdempotentGaps, InvalidElementError, identity, random_element, shift
+from cofinj.core import (
+    NEG_INF,
+    POS_INF,
+    IdempotentGaps,
+    InvalidElementError,
+    MonotoneElement,
+    _unpickled,
+    identity,
+    random_element,
+    shift,
+)
 from cofinj.almost import (
     AlmostMonotoneElement,
     UnitDecomposition,
@@ -27,6 +38,8 @@ from helpers import (
     assert_same_on_window,
     brute_minimal_exceptions,
     compose_maps,
+    point_minimal_exceptions,
+    point_monotonizers,
     ref_minimal_exceptions,
     window_bound,
     window_map,
@@ -261,6 +274,50 @@ def test_minimal_exceptions_matches_the_greedy_on_wide_middles():
             rng.shuffle(vals)
         a = make_almost(0, 0, 100, 0, dict(zip(sorted(keys), vals)))
         assert minimal_exceptions(a) == ref_minimal_exceptions(a.middle), a
+
+
+def _wide_piece_almost(rng):
+    """A random almost-monotone element composed with monotone ones, so its inner pieces span several points."""
+    a = random_almost(rng, max_offset=2, window=rng.randint(3, 30), max_middle=rng.randint(0, 12))
+    return compose_almost(compose_almost(random_element(rng, 3, 2), a), random_element(rng, 3, 2))
+
+
+def test_minimal_exceptions_matches_the_point_table():
+    rng = random.Random(15)
+    for _ in range(3000):
+        a = _wide_piece_almost(rng)
+        assert minimal_exceptions(a) == point_minimal_exceptions(a.middle), a
+        assert monotonizers(a) == point_monotonizers(a), a
+
+
+def test_minimal_exceptions_on_multi_point_pieces_matches_the_searches():
+    rng = random.Random(16)
+    seen = 0
+    for _ in range(1500):
+        a = _wide_piece_almost(rng)
+        mid = a.middle
+        seen += any(hi > lo for lo, hi, _ in a.pieces[1:-1])
+        if len(mid) <= 9:
+            assert minimal_exceptions(a) == brute_minimal_exceptions(mid), a
+        if len(mid) <= 40:
+            assert minimal_exceptions(a) == ref_minimal_exceptions(mid), a
+    assert seen > 500
+
+
+def test_minimal_exceptions_cost_does_not_grow_with_piece_width():
+    swap = unit_recompose(UnitDecomposition(((-1, -2), (-2, -1)), 0))
+    for w in (10**4, 10**12):
+        wide = swap * MonotoneElement([(NEG_INF, 0, 0), (1, w, 1), (w + 1, POS_INF, 2)])
+        assert minimal_exceptions(wide) == frozenset({-2})
+        left, right, both = monotonizers(wide)
+        assert left.gaps == frozenset({-2}) and right.gaps == frozenset({-1, 1, w + 2})
+        best = min(timeit.repeat(lambda: minimal_exceptions(wide), number=1, repeat=5))
+        assert best < 1e-3, best
+    # a wide inner piece out of order with a narrow one: the narrow one goes
+    pieces = ((NEG_INF, 0, 0), (1, 1, w + 1), (2, w + 1, -1), (w + 2, POS_INF, 1))
+    a = _unpickled(AlmostMonotoneElement, pieces)
+    assert minimal_exceptions(a) == frozenset({1})
+    assert monotonizers(a)[1].gaps == frozenset({w + 1, w + 2})
 
 
 def test_monotonizer_products_are_monotone():

@@ -127,6 +127,33 @@ def test_witness_idempotent_matches_point_loop():
         assert witness_idempotent(b, a) == want, (a, b)
 
 
+def test_witness_idempotent_clips_only_the_tails():
+    """Single-piece, one-sided and 2^60-offset pairs against the point loop.
+
+    A single piece is both tails; a map whose window lies at one end of the
+    shared window has only one tail reaching into it.
+    """
+    rng = random.Random(9)
+    pairs = []
+    for k in (0, -3, 2**60, -(2**60)):
+        u = shift(k)
+        pairs.append((u, u))
+        for _ in range(20):
+            left = IdempotentGaps(rng.sample(range(-30, -10), rng.randint(1, 3))).to_element()
+            right = IdempotentGaps(rng.sample(range(10, 30), rng.randint(1, 3))).to_element()
+            x = am.random_almost(rng, max_offset=0, window=6, max_middle=5)
+            pairs.append((u, right * u))
+            pairs.append((left * u, u))
+            pairs.append((left * u, right * u))
+            pairs.append((am.compose_almost(left, am.compose_almost(x, u)), right * u))
+            pairs.append((am.compose_almost(x, u), am.compose_almost(am.compose_almost(right, x), u)))
+    for a, b in pairs:
+        assert mgc_equiv(a, b)
+        want = IdempotentGaps(ref_witness_gaps(a, b)).to_element()
+        assert witness_idempotent(a, b) == want, (a, b)
+        assert witness_idempotent(b, a) == want, (a, b)
+
+
 def test_unit_to_shift():
     assert unit_to_shift(identity()) == 0
     assert unit_to_shift(shift(-4)) == -4

@@ -1,10 +1,12 @@
 import random
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cofinj import bicyclic, core
+from cofinj.almost import compose_almost, make_almost, random_almost
 from cofinj.core import (
     NEG_INF,
     POS_INF,
@@ -31,6 +33,8 @@ from helpers import (
     image_breaks,
     preimage,
     pull_back,
+    ref_seg_text,
+    ref_to_text,
     window_bound,
     window_map,
 )
@@ -452,6 +456,32 @@ def test_text_round_trip_examples():
         e = parse_element(text)
         assert parse_element(e.to_text()) == e
         assert parse_element(e.to_seg_text()) == e
+
+
+class _Bound(IntEnum):
+    LO = -7
+    HI = -3
+    OFF = 2
+
+
+def test_text_writers_match_the_f_string_reference():
+    rng = random.Random(12)
+    big = 2**60
+    elems = [identity(), shift(-5), shift(big), IdempotentGaps({-3, 0, 4}).to_element()]
+    elems += [random_element(rng, rng.randint(0, 6), 3) for _ in range(300)]
+    elems += [shift(big) * e * shift(-big - 1) for e in elems[4:40]]
+    elems += [MonotoneElement([(NEG_INF, _Bound.LO, _Bound.OFF), (_Bound.HI, 5, -1), (9, POS_INF, _Bound.OFF)])]
+    elems += [MonotoneElement([(NEG_INF, POS_INF, _Bound.OFF)]), MonotoneElement([(NEG_INF, _Bound.HI, 0), (0, POS_INF, 0)])]
+    wide = [random_almost(rng, window=rng.randint(3, 20), max_middle=10) for _ in range(200)]
+    elems += wide + [compose_almost(compose_almost(m, a), m.inverse()) for a, m in zip(wide, elems[4:])]
+    elems += [make_almost(_Bound.LO, 0, _Bound.HI, _Bound.OFF, {-6: -4, _Bound.OFF - 7: -6})]
+    elems += [shift(big) * a for a in wide[:30]]
+    for e in elems:
+        assert e.to_text() == ref_to_text(e), e.pieces
+        if isinstance(e, MonotoneElement):
+            assert e.to_seg_text() == ref_seg_text(e), e.pieces
+    assert any(isinstance(v, IntEnum) for e in elems for p in e.pieces for v in p)
+    assert sum(len(e.pieces) > 3 for e in elems) > 100
 
 
 def test_parse_rejects_garbage():

@@ -27,6 +27,7 @@ from cofinj.green import (
     solve_right,
 )
 from cofinj import almost as am
+from cofinj import green
 
 from helpers import enumerate_monotone, ref_solve_right_almost, ref_solve_right_monotone
 
@@ -158,6 +159,20 @@ def test_solutions_satisfy_equation():
             assert a * x == b
         for x in solve_left(a, b):
             assert x * a == b
+
+
+@pytest.mark.parametrize("within, cells", [("monotone", "_monotone_cells"), ("almost", "_almost_cells")])
+def test_every_candidate_is_checked_by_the_full_product(monkeypatch, within, cells):
+    """A planted cell offers 0, a point of ran(a) outside dom(forced); its candidate must not come back."""
+    a, b = identity(), IdempotentGaps({0}).to_element()
+    want = am.as_almost(b) if within == "almost" else b
+    assert solve_right(a, b, within) == (want,) == solve_left(a, b, within)
+    # a = id has no range gap and so no cell; the planted one sends 0 to 0, and id * id != E{0}
+    monkeypatch.setattr(green, cells, lambda a, forced: [([(0, 0)], [(0, 0)])])
+    with pytest.raises(AssertionError):
+        solve_right(a, b, within)
+    with pytest.raises(AssertionError):
+        solve_left(a, b, within)
 
 
 def test_monotone_candidates_equal_normalized_raw():

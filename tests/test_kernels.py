@@ -13,7 +13,7 @@ from cofinj import _kernel
 from cofinj.almost import _by_image, as_almost, random_almost
 from cofinj.core import NEG_INF, POS_INF, element_from_gaps, normalize, random_element, shift
 
-from helpers import ref_composite_pieces, ref_compose_segments
+from helpers import ref_composite_pieces, ref_compose_segments, ref_merge_pieces
 
 
 def _same_as_reference(pairs):
@@ -105,3 +105,32 @@ def test_merges_stop_at_gaps_and_offset_changes():
         (2, 9, 0),
         (11, POS_INF, 0),
     ]
+
+
+def _random_piece_list(rng):
+    """Sorted disjoint pieces: touching runs with equal offsets, gaps, 2^60 offsets, +-inf or finite ends."""
+    big = rng.choice([0, 2**60, -(2**60)])
+    lo = NEG_INF if rng.random() < 0.7 else rng.randint(-5, 5) + big
+    hi = (lo if lo != NEG_INF else rng.randint(-5, 5) + big) + rng.randint(0, 3)
+    pieces = []
+    for _ in range(rng.randint(0, 8)):
+        off = pieces[-1][2] if pieces and rng.random() < 0.5 else rng.choice([0, 1, -2, big, big + 1])
+        pieces.append((lo, hi, off))
+        lo = hi + 1 + rng.choice([0, 0, 1, 3])
+        hi = lo + rng.randint(0, 3)
+    pieces.append((lo, POS_INF if rng.random() < 0.7 else hi, rng.choice([0, big])))
+    return pieces
+
+
+def test_merge_pieces_matches_the_reference_loop():
+    rng = random.Random(14)
+    merges = 0
+    for _ in range(3000):
+        pieces = _random_piece_list(rng)
+        want = ref_merge_pieces(pieces)
+        got = _kernel.merge_pieces(pieces)
+        assert got == want, pieces
+        assert all(type(p) is tuple for p in got)
+        merges += len(pieces) - len(want)
+    assert merges > 1000
+    assert _kernel.merge_pieces([]) == []
