@@ -134,7 +134,9 @@ def _right_solutions(a, b, within):
     out = []
     for combo in product(*options):
         pieces = _merged([*base, *chain.from_iterable(combo)])
-        assert check(pieces) == want
+        # an explicit raise, so that the check also runs under python -O
+        if check(pieces) != want:
+            raise AssertionError(f"a solver candidate fails a * x == b: {pieces!r}")
         out.append(wrap(pieces))
     return out
 

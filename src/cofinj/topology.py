@@ -25,8 +25,16 @@ certified by explicit pin constructions plus randomized membership audits:
   reports a failure.
 
 All of these read gap sets as sorted maximal (lo, hi) runs and elements as
-their translation pieces, so membership, the covers and ``separate`` cost
-time in the number of segments or middle points, not in the gap widths.
+their translation pieces, so membership, ``inverse_cover`` and ``separate``
+cost time in the number of segments or middle points, not in the gap widths;
+``product_cover`` lists every escape point it pins.
+
+The audits draw members with ``sample_member``.  A W draw around a monotone
+center works on runs: it cuts the center's domain runs near their ends and
+gives each run left one translation, in O(pieces + pins + cuts) at any
+width, and every member of the neighborhood is a possible draw.  Still
+linear in the width: the almost-monotone W plan and draw, the H plan's
+window lists, and ``product_cover``'s escape set.
 
 On the monotone submonoid an H-flavor neighborhood with at least one pin is
 the singleton of its center: a monotone bijection between two fixed cofinite
@@ -36,7 +44,7 @@ sets is determined by a single value.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import chain
 
 from .core import (
@@ -45,12 +53,14 @@ from .core import (
     NEG_INF,
     POS_INF,
     _check_int,
+    _gaps_between,
     _graft,
     _overlaps,
     _runs_within,
     _translation_off,
     _window,
 )
+from . import _kernel
 from . import almost as _almost
 
 
@@ -218,20 +228,24 @@ def _runs_xor(ra, rb) -> list:
 def sample_member(nbhd: BasicNeighborhood, rng: random.Random):
     """A random member of the neighborhood.
 
-    W flavor: keep a random cofinite subset of the center's domain (always
-    keeping the pins), then redraw the values zone by zone between
-    consecutive pins; zones between two pins may be reshuffled
-    non-monotonically when the ambient monoid is the almost-monotone one.
+    W flavor around a monotone center: cut the center's domain runs a
+    geometric number of times near their ends (always keeping the pins), then
+    give each run left one translation, zone by zone between consecutive pins
+    (see ``_w_monotone_plan``).  A draw costs O(pieces + pins + cuts), at any
+    width, and every member of U_c(F) is a possible draw, so the members the
+    earlier window sampler could draw are all still reachable.  W flavor
+    around an almost-monotone center: keep a random cofinite subset of the
+    window [-w, w] around the pins and the finite piece ends, and redraw its
+    values; zones between two pins may be reshuffled non-monotonically.
     H flavor: conjugate the center by finite permutations of its domain and
     range fixing the pins and their images.
 
-    The first call on a neighborhood builds its plan: the window [-w, w]
-    around the pins and the finite piece ends, the pin values, and every
-    domain point of the window with its zone.  The neighborhood keeps the
-    plan's draw function, so later calls only consume ``rng``; a draw from a
-    reused neighborhood equals one from a fresh neighborhood with the same
-    rng state.  Plans and W draws take time linear in the window width; an
-    H draw grafts its permutations onto gap runs, so its cost follows the pieces.
+    The first call on a neighborhood builds its plan and keeps its draw
+    function, so later calls only consume ``rng``; a draw from a reused
+    neighborhood equals one from a fresh neighborhood with the same rng
+    state.  The almost-monotone W plan and draw and the H plan's window
+    lists take time linear in the window width; an H draw grafts its
+    permutations onto gap runs, so its cost follows the pieces.
     """
     draw = nbhd._draw
     if draw is None:
@@ -254,45 +268,162 @@ def _window_points(elem, w: int) -> list:
     return [x for lo, hi, _ in elem.pieces for x in range(max(lo, -w), min(hi, w) + 1)]
 
 
+def _geometric_stream(rng):
+    """Endless independent draws of P(k) = 2^-(k+1) on k >= 0.
+
+    Each is the number of 0 bits before the next 1 bit in one stream of
+    random 64-bit words, read from the low bit up.
+    """
+    k = 0  # the 0 bits counted so far toward the next draw
+    while True:
+        word = rng.getrandbits(64)
+        left = 64
+        while word:
+            t = (word & -word).bit_length()
+            yield k + t - 1
+            k = 0
+            word >>= t
+            left -= t
+        k += left
+
+
+def _cut_length(rng) -> int:
+    """A draw of P(k) = (1/4)(3/4)^k on k >= 0: the 2-bit digits of random 64-bit words before the first 11."""
+    k = 0
+    while True:
+        word = rng.getrandbits(64)
+        elevens = word & (word >> 1) & 0x5555555555555555
+        if elevens:
+            return k + ((elevens & -elevens).bit_length() >> 1)
+        k += 32
+
+
 def _w_monotone_plan(nbhd):
+    """The draw of a W member around a monotone center, in O(pieces + pins + cuts) per draw.
+
+    The pins split the center's domain runs into zones.  A draw cuts the
+    runs of each zone near their ends (see ``_cut``) and gives each run left
+    one translation.  Between two pins it splits the slack the kept points
+    leave among the runs by exact uniform draws, so it stays exact when the
+    slack passes 2^53; beyond the outer pins it walks away from the pin's
+    value, each run starting 1 + geometric past the last value.  With no
+    pins the walk starts from the center's left translation, moved by a
+    signed geometric amount.  Every member of the neighborhood is a
+    possible draw: any finite set of removed points and splits is a
+    possible set of cuts, and any translations a member gives the runs are
+    possible outcomes of the walks and the uniform draws.
+    """
     c = nbhd.center
-    w = _extent(c, nbhd.pins) + 4
     pins = sorted(nbhd.pins)
-    pinvals = {x: c(x) for x in pins}
-    # zone i lies between pins i - 1 and i; its bounds are their values, None beyond the outer pins
-    qs = [None, *pinvals.values(), None]
-    zones = list(zip(qs, qs[1:]))
-    # each non-pin point with its zone and whether it is always kept (the window ends are)
-    points = [
-        (x, bisect_left(pins, x), x == -w or x == w) for x in _window_points(c, w) if x not in pinvals
-    ]
+    # zone i lies between pins i - 1 and i; its value bounds are the pins' values, None beyond the outer pins
+    qs = [None, *map(c, pins), None]
+    # a member keeps none of the center's translations but the pins' values, so only its domain runs matter
+    zone_runs = [[] for _ in qs[1:]]
+    for lo, hi in _gaps_between([(NEG_INF, NEG_INF), *c._dom_runs(), (POS_INF, POS_INF)]):
+        i = bisect_left(pins, lo)
+        for p in pins[i : bisect_right(pins, hi)]:
+            if lo < p:
+                zone_runs[i].append((lo, p - 1))
+            lo, i = p + 1, i + 1
+        if lo <= hi:
+            zone_runs[i].append((lo, hi))
+    zones = []
+    for qlo, qhi, runs in zip(qs, qs[1:], zone_runs):
+        # the ends cuts count from, as (run, start, up): each finite end, and 0 up and 1 down in Z itself
+        ends = []
+        for j, (lo, hi) in enumerate(runs):
+            if lo != NEG_INF or hi == POS_INF:
+                ends.append((j, 0 if lo == NEG_INF else lo, True))
+            if hi != POS_INF or lo == NEG_INF:
+                ends.append((j, 1 if hi == POS_INF else hi + 1, False))
+        zones.append((qlo, qhi, runs, ends))
+    pin_pieces = [(p, p, q - p) for p, q in zip(pins, qs[1:])] + [None]
+    first = c.pieces[0][2]  # the translation a zone with no pins walks from
 
     def draw(rng):
-        kept = [[] for _ in zones]
-        for x, z, always in points:
-            if always or rng.random() >= 0.25:
-                kept[z].append(x)
-        # redraw values zone by zone; pin values bracket each inner zone
-        vals = dict(pinvals)
-        for (qlo, qhi), zone in zip(zones, kept):
-            if qlo is not None and qhi is not None:
-                zone = sorted(rng.sample(zone, min(len(zone), qhi - qlo - 1)))
-                vals.update(zip(zone, sorted(rng.sample(range(qlo + 1, qhi), len(zone)))))
-            elif qhi is not None:
-                v = qhi
-                for x in reversed(zone):
-                    v -= rng.randint(1, 2)
-                    vals[x] = v
-            else:
-                v = qlo if qlo is not None else -w + rng.randint(-3, 1)
-                for x in zone:
-                    v += rng.randint(1, 2)
-                    vals[x] = v
-        tails = ((NEG_INF, -w, vals.pop(-w) + w), (w, POS_INF, vals.pop(w) - w))
+        geo = _geometric_stream(rng).__next__
+        raw = []
+        for (qlo, qhi, runs, ends), pin in zip(zones, pin_pieces):
+            # one bit per end: the ends whose bit is set cut
+            flags = rng.getrandbits(len(ends)) if ends else 0
+            if flags:
+                runs = _cut(runs, ends, flags, geo, rng)
+            if qhi is None:
+                q = qlo
+                for lo, hi in runs:
+                    k = geo()
+                    if q is None:
+                        off = first - k if k and rng.getrandbits(1) else first + k
+                    else:
+                        off = q + 1 + k - lo
+                    raw.append((lo, hi, off))
+                    q = hi + off
+            elif qlo is None:
+                q = qhi
+                tail = []
+                for lo, hi in reversed(runs):
+                    off = q - 1 - geo() - hi
+                    tail.append((lo, hi, off))
+                    q = lo + off
+                raw += reversed(tail)
+            elif runs:
+                raw += _spread(runs, qlo, qhi, rng)
+            if pin:
+                raw.append(pin)
         # the validating constructor: a draw checks what it builds
-        return MonotoneElement(_graft(tails, vals.items()))
+        return MonotoneElement(_kernel.merge_pieces(raw))
 
     return draw
+
+
+def _cut(runs, ends, flags, geo, rng) -> list:
+    """What the cuts leave of the runs, as increasing (lo, hi) runs.
+
+    End i, a (run, start, up) triple, cuts when bit i of ``flags`` is set,
+    1 + g // 2 times for a geometric g (``geo``).  A cut counts a geometric
+    distance in from its end and removes the next ``_cut_length`` points; a
+    cut of 0 points splits the run there, so its two parts can take
+    different translations.  Cuts count only from finite ends (or from 0 and
+    1 in a run infinite both ways), so an infinite run is never removed whole.
+    """
+    holes = []  # (run, a, b): the points a..b - 1 of the run removed
+    i = 0
+    while flags:
+        if flags & 1:
+            j, start, up = ends[i]
+            for _ in range(1 + (geo() >> 1)):
+                d, m = geo(), _cut_length(rng)
+                holes.append((j, start + d, start + d + m) if up else (j, start - d - m, start - d))
+        flags >>= 1
+        i += 1
+    holes.sort()
+    out = []
+    h = 0
+    for j, (lo, hi) in enumerate(runs):
+        s = lo  # the first point not yet kept or removed
+        while h < len(holes) and holes[h][0] == j:
+            _, a, b = holes[h]
+            h += 1
+            e = a - 1 if a <= hi else hi
+            if s <= e:
+                out.append((s, e))
+            if b > s:
+                s = b
+        if s <= hi:
+            out.append((s, hi))
+    return out
+
+
+def _spread(runs, qlo, qhi, rng) -> list:
+    """Pieces sending the runs increasingly into qlo + 1..qhi - 1; exact uniform draws split the slack."""
+    slack = qhi - qlo - 1 - sum([hi - lo + 1 for lo, hi in runs])
+    shares = sorted([rng.randrange(slack + 1) for _ in runs]) if slack else [0] * len(runs)
+    out = []
+    v = qlo + 1  # the lowest value left for the next run, before its share of the slack
+    for (lo, hi), share in zip(runs, shares):
+        out.append((lo, hi, v + share - lo))
+        v += hi - lo + 1
+    return out
 
 
 def _w_almost_plan(nbhd):

@@ -549,10 +549,13 @@ def ref_extent(elem, pins=()) -> int:
 
 # -- point-by-point member samplers --------------------------------------------------
 #
-# topology.sample_member as it was before the per-neighborhood plans: every draw
-# recomputes the window and the pin values, walks [-w, w] testing membership
-# point by point, and builds a monotone result through normalize.  The planned
-# draws must consume the rng exactly as these do and return the same members.
+# topology.sample_member drawn point by point: every draw recomputes the pin
+# values and reads the center's domain point by point over a window, and builds
+# a monotone result through normalize.  The almost-monotone W and the H samplers
+# are the window walks the library used before its per-neighborhood plans; the
+# monotone W sampler makes the library's cuts and translations one point at a
+# time over a box around the center's finite structure.  The planned draws must
+# consume the rng exactly as these do and return the same members.
 
 
 def ref_kept_points(c, pinvals, w, rng):
@@ -565,40 +568,269 @@ def ref_kept_points(c, pinvals, w, rng):
     return kept
 
 
+def ref_geometric_stream(rng):
+    """Draws of P(k) = 2^-(k+1): the 0 bits before each 1 bit of random 64-bit words, read bit by bit from the low end."""
+    zeros = 0
+    while True:
+        word = rng.getrandbits(64)
+        for i in range(64):
+            if word >> i & 1:
+                yield zeros
+                zeros = 0
+            else:
+                zeros += 1
+
+
+def ref_cut_length(rng) -> int:
+    """A draw of P(k) = (1/4)(3/4)^k: the 2-bit digits of random 64-bit words, low digit first, before the first 3."""
+    k = 0
+    while True:
+        word = rng.getrandbits(64)
+        for i in range(32):
+            if word >> (2 * i) & 3 == 3:
+                return k
+            k += 1
+
+
+REF_BOX_MARGIN = 100  # a cut reaching this far past the center's finite structure is a 2^-100 event
+
+
+def _ref_zone_runs(c, pins, w):
+    """Each zone's domain points in [-w, w] as runs of consecutive points: [points, infinite below, infinite above]."""
+    zones = [[] for _ in range(len(pins) + 1)]
+    z, prev = 0, None
+    for x in range(-w, w + 1):
+        if x in pins:
+            z, prev = z + 1, None
+            continue
+        if x not in c:
+            prev = None
+            continue
+        if prev is None:
+            zones[z].append([[], x == -w, False])
+        zones[z][-1][0].append(x)
+        zones[z][-1][2] = x == w
+        prev = x
+    return zones
+
+
 def ref_sample_w_monotone(nbhd, rng):
     c = nbhd.center
-    w = ref_extent(c, nbhd.pins) + 4
-    pinvals = {x: c(x) for x in nbhd.pins}
-    kept = ref_kept_points(c, pinvals, w, rng)
-    vals = {}
-    bounds = [None] + sorted(pinvals) + [None]
-    for zlo, zhi in zip(bounds, bounds[1:]):
-        zone = [
-            x
-            for x in kept
-            if x not in pinvals
-            and (zlo is None or x > zlo)
-            and (zhi is None or x < zhi)
-        ]
-        if zlo is not None and zhi is not None:
-            qlo, qhi = pinvals[zlo], pinvals[zhi]
-            cap = qhi - qlo - 1
-            zone = sorted(rng.sample(zone, min(len(zone), cap)))
-            vals.update(zip(zone, sorted(rng.sample(range(qlo + 1, qhi), len(zone)))))
-        elif zhi is not None:
-            v = pinvals[zhi]
-            for x in reversed(zone):
-                v -= rng.randint(1, 2)
-                vals[x] = v
-        else:
-            v = pinvals[zlo] if zlo is not None else -w + rng.randint(-3, 1)
-            for x in zone:
-                v += rng.randint(1, 2)
-                vals[x] = v
-    vals.update(pinvals)
-    raw = [(NEG_INF, -w, vals[-w] + w), (w, POS_INF, vals[w] - w)]
-    raw.extend((x, x, vals[x] - x) for x in vals if -w < x < w)
+    pins = sorted(nbhd.pins)
+    w = ref_extent(c, pins) + REF_BOX_MARGIN
+    geo = ref_geometric_stream(rng).__next__
+    vals = {p: c(p) for p in pins}
+    qs = [None, *(vals[p] for p in pins), None]
+    tails = {}
+    for (qlo, qhi), runs in zip(zip(qs, qs[1:]), _ref_zone_runs(c, set(pins), w)):
+        # the ends in order, each run's lower end first: (run, anchor, up)
+        ends = []
+        for j, (pts, inf_lo, inf_hi) in enumerate(runs):
+            if not inf_lo or inf_hi:
+                ends.append((j, 0 if inf_lo else pts[0], True))
+            if not inf_hi or inf_lo:
+                ends.append((j, 1 if inf_hi else pts[-1] + 1, False))
+        # one bit per end, lowest first: an end whose bit is set cuts 1 + g // 2 times
+        flags = rng.getrandbits(len(ends)) if ends else 0
+        # a cut removes points of its own run only, and splits it only between two of its points
+        removed, splits = set(), set()
+        for i, (j, anchor, up) in enumerate(ends):
+            if not flags >> i & 1:
+                continue
+            own = set(runs[j][0])
+            for _ in range(1 + geo() // 2):
+                d, m = geo(), ref_cut_length(rng)
+                a = anchor + d if up else anchor - d - m
+                assert -w < a and a + m < w, "a cut left the reference box"
+                removed.update(own.intersection(range(a, a + m)))
+                if m == 0 and a in own and a - 1 in own:
+                    splits.add(a)
+        # the kept runs: consecutive kept points of one run, broken at removed points and splits
+        kept = []
+        for pts, inf_lo, inf_hi in runs:
+            prev = None
+            for x in pts:
+                if x in removed:
+                    prev = None
+                    continue
+                if prev is None or x in splits:
+                    kept.append([[], x == -w and inf_lo, False])
+                kept[-1][0].append(x)
+                kept[-1][2] = x == w and inf_hi
+                prev = x
+        offsets = []
+        if qhi is None:
+            q = qlo
+            for pts, _, _ in kept:
+                k = geo()
+                if q is None:
+                    off = c(-w) + w - k if k and rng.getrandbits(1) else c(-w) + w + k
+                else:
+                    off = q + 1 + k - pts[0]
+                offsets.append(off)
+                q = pts[-1] + off
+        elif qlo is None:
+            q = qhi
+            for pts, _, _ in reversed(kept):
+                off = q - 1 - geo() - pts[-1]
+                offsets.append(off)
+                q = pts[0] + off
+            offsets.reverse()
+        elif kept:
+            slack = qhi - qlo - 1 - sum(len(pts) for pts, _, _ in kept)
+            shares = sorted(rng.randrange(slack + 1) for _ in kept) if slack else [0] * len(kept)
+            v = qlo + 1
+            for (pts, _, _), share in zip(kept, shares):
+                offsets.append(v + share - pts[0])
+                v += len(pts)
+        for (pts, inf_lo, inf_hi), off in zip(kept, offsets):
+            vals.update((x, x + off) for x in pts)
+            if inf_lo:
+                tails["lo"] = off
+            if inf_hi:
+                tails["hi"] = off
+    raw = [(NEG_INF, -w - 1, tails["lo"]), (w + 1, POS_INF, tails["hi"])]
+    raw += [(x, x, v - x) for x, v in vals.items()]
     return normalize(raw)
+
+
+def assert_w_member(nbhd, elem):
+    """elem is in the W neighborhood: dom elem inside dom center and the pins' values kept, checked on all of Z.
+
+    Between consecutive breaks of the two maps each is one translation or
+    undefined throughout, so comparing domains at the breaks, and at one
+    point left of all of them, compares them everywhere.
+    """
+    c = nbhd.center
+    pts = breaks(elem) | breaks(c) | set(nbhd.pins)
+    pts.add(min(pts, default=0) - 1)
+    for x in sorted(pts):
+        assert elem(x) is None or c(x) is not None, f"{x} is in the draw's domain and not in the center's"
+    for p in nbhd.pins:
+        assert elem(p) == c(p), f"the draw moved the pin {p}"
+
+
+def equal_outside(elem, c, r: int) -> bool:
+    """elem(x) == c(x) for every integer x outside [-r, r], compared at the breaks of both maps."""
+    pts = breaks(elem) | breaks(c) | {-r - 1, r + 1}
+    pts.add(min(pts) - 1)
+    return all(elem(x) == c(x) for x in pts if abs(x) > r)
+
+
+def ref_box_members(c, pins, r: int = 2) -> set:
+    """Every monotone element of U_c(pins) that equals c outside [-r, r], by brute force.
+
+    Such a member keeps the pins' values and sends some of c's other domain
+    points in the box increasingly to values strictly between the values of
+    c at the nearest domain points outside the box.
+    """
+    below = next(x for x in range(-r - 1, -r - 1000, -1) if x in c)
+    above = next(x for x in range(r + 1, r + 1000) if x in c)
+    free = [x for x in range(-r, r + 1) if x in c and x not in pins]
+    fixed = {p: c(p) for p in pins if -r <= p <= r}
+    outside = [(lo, min(hi, -r - 1), o) for lo, hi, o in c.pieces if lo <= -r - 1]
+    outside += [(max(lo, r + 1), hi, o) for lo, hi, o in c.pieces if hi >= r + 1]
+    out = set()
+    for k in range(len(free) + 1):
+        for dom in combinations(free, k):
+            for img in combinations(range(c(below) + 1, c(above)), k):
+                vals = {**dict(zip(dom, img)), **fixed}
+                xs = sorted(vals)
+                if all(vals[s] < vals[t] for s, t in zip(xs, xs[1:])):
+                    out.add(normalize(outside + [(x, x, v - x) for x, v in vals.items()]))
+    return out
+
+
+def ref_w_monotone_script(c, pins, x) -> dict:
+    """Outcomes of the monotone W draw's random primitives under which it draws x, a member of U_c(pins).
+
+    The primitives are the geometric stream (``stream``), the cut lengths
+    (``lengths``), ``getrandbits(k)`` for the ends that cut and the sign of
+    a zone with no pins (``bits``, as (k, value) pairs), and the slack
+    shares ``randrange(slack + 1)`` (``shares``), each listed in the order
+    the draw asks for it.  Every outcome lies in its primitive's
+    support, so x is drawn with positive probability.  The structure is read
+    point by point over a box, like ref_sample_w_monotone reads it: each
+    maximal stretch of consecutive points of one run of c on which x is one
+    translation is a run the draw keeps, and what lies between two of them
+    is one cut, counted from the run's lower end when that end is finite.
+    """
+    pins = sorted(pins)
+    w = max(ref_extent(c, pins), ref_extent(x)) + 4
+    first = c(-w) + w
+    vals = {p: c(p) for p in pins}
+    qs = [None, *(vals[p] for p in pins), None]
+    stream, lengths, bits, shares = [], [], [], []
+    for (qlo, qhi), runs in zip(zip(qs, qs[1:]), _ref_zone_runs(c, set(pins), w)):
+        ends, kept = [], []  # each end's cuts as (distance, length); the kept stretches
+        for pts, inf_lo, inf_hi in runs:
+            up = down = None
+            if not inf_lo or inf_hi:
+                up = len(ends)
+                ends.append([])
+            if not inf_hi or inf_lo:
+                down = len(ends)
+                ends.append([])
+            subs = []  # [first point, last point, offset]
+            for p in pts:
+                y = x(p)
+                if y is not None and subs and subs[-1][1] == p - 1 and subs[-1][2] == y - p:
+                    subs[-1][1] = p
+                elif y is not None:
+                    subs.append([p, p, y - p])
+            # x equals c near the box's edges, so it keeps the infinite ends
+            assert not inf_lo or subs[0][0] == -w
+            assert not inf_hi or subs[-1][1] == w
+            # the points a..b - 1 between consecutive kept stretches, and around them at finite ends
+            holes = [(s[1] + 1, t[0]) for s, t in zip(subs, subs[1:])]
+            if not inf_lo and (not subs or subs[0][0] > pts[0]):
+                holes.insert(0, (pts[0], subs[0][0] if subs else pts[-1] + 1))
+            if not inf_hi and subs and subs[-1][1] < pts[-1]:
+                holes.append((subs[-1][1] + 1, pts[-1] + 1))
+            for a, b in holes:
+                if not inf_lo:
+                    ends[up].append((a - pts[0], b - a))
+                elif not inf_hi:
+                    ends[down].append((pts[-1] + 1 - b, b - a))
+                elif a >= 0:
+                    ends[up].append((a, b - a))
+                elif b <= 1:
+                    ends[down].append((1 - b, b - a))
+                else:
+                    ends[down].append((0, 1 - a))
+                    ends[up].append((1, b - 1))
+            kept += subs
+        if ends:
+            bits.append((len(ends), sum(1 << i for i, e in enumerate(ends) if e)))
+        for e in ends:
+            if e:
+                stream.append(2 * (len(e) - 1))
+            for d, m in e:
+                stream.append(d)
+                lengths.append(m)
+        if qhi is None:
+            q = qlo
+            for lo, hi, off in kept:
+                if q is None:
+                    stream.append(abs(off - first))
+                    if off != first:
+                        bits.append((1, int(off < first)))
+                else:
+                    stream.append(lo + off - q - 1)
+                q = hi + off
+        elif qlo is None:
+            q = qhi
+            for lo, hi, off in reversed(kept):
+                stream.append(q - 1 - hi - off)
+                q = lo + off
+        elif kept:
+            slack = qhi - qlo - 1 - sum(hi - lo + 1 for lo, hi, _ in kept)
+            v = qlo + 1
+            for lo, hi, off in kept:
+                if slack:
+                    shares.append(lo + off - v)
+                v += hi - lo + 1
+    return {"stream": stream, "lengths": lengths, "bits": bits, "shares": shares}
 
 
 def ref_sample_w_almost(nbhd, rng):

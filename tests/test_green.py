@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, permutations
 from math import comb, factorial
 
@@ -173,6 +176,26 @@ def test_every_candidate_is_checked_by_the_full_product(monkeypatch, within, cel
         solve_right(a, b, within)
     with pytest.raises(AssertionError):
         solve_left(a, b, within)
+
+
+PLANTED_CELL_UNDER_O = """
+from cofinj import green
+from cofinj.core import IdempotentGaps, identity
+
+green.{cells} = lambda a, forced: [([(0, 0)], [(0, 0)])]
+print(green.solve_right(identity(), IdempotentGaps({{0}}).to_element(), "{within}"))
+"""
+
+
+@pytest.mark.parametrize("within, cells", [("monotone", "_monotone_cells"), ("almost", "_almost_cells")])
+def test_candidates_are_checked_under_python_O(within, cells):
+    """The planted cell of the test above still raises when asserts are compiled away."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = PLANTED_CELL_UNDER_O.format(cells=cells, within=within)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0 and proc.stdout == ""
+    assert "AssertionError: a solver candidate fails a * x == b" in proc.stderr
 
 
 def test_monotone_candidates_equal_normalized_raw():

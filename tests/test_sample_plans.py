@@ -4,7 +4,10 @@
 Every draw must consume the rng exactly as the point-by-point samplers kept
 in helpers do and return the same member, on monotone, almost-monotone and
 total-translation centers with 0 to 3 pins, for both flavors; so must every
-audit built on it.
+audit built on it.  A monotone W draw works on runs and pieces: its
+reference makes the same rng calls in the same order, applies each cut and
+each translation one point at a time over a box, and normalizes.  The
+almost-monotone W and the H references are the window walks.
 """
 
 import copy
