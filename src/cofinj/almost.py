@@ -47,7 +47,6 @@ from .core import (
     IdempotentGaps,
     InvalidElementError,
     MonotoneElement,
-    _from_pieces,
     _graft,
     _inverted,
     _is_int,
@@ -107,7 +106,7 @@ class AlmostMonotoneElement(_PieceMap):
     # -- monoid structure ---------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, (AlmostMonotoneElement, MonotoneElement)):
+        if isinstance(other, _PieceMap):
             return compose_almost(self, other)
         return NotImplemented
 
@@ -119,15 +118,7 @@ class AlmostMonotoneElement(_PieceMap):
     def inverse(self) -> "AlmostMonotoneElement":
         return inverse_almost(self)
 
-    # -- equality and text ----------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, AlmostMonotoneElement):
-            return self.pieces == other.pieces
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.pieces)
+    # -- text -----------------------------------------------------------------
 
     def to_text(self) -> str:
         p = self.pieces
@@ -224,7 +215,7 @@ def to_monotone(elem: AlmostMonotoneElement) -> MonotoneElement:
     if not elem.is_monotone():
         raise InvalidElementError("element is not monotone")
     # maximal pieces with increasing images are exactly the canonical segments
-    return _from_pieces(elem.pieces)
+    return MonotoneElement._trusted(elem.pieces)
 
 
 def as_almost(elem) -> AlmostMonotoneElement:
@@ -234,9 +225,9 @@ def as_almost(elem) -> AlmostMonotoneElement:
 
 
 def canonicalize(elem):
-    """Cross-representation normal form: segment form whenever the map is monotone."""
+    """Segment form whenever the map is monotone, for output; ``pieces`` compares maps of either class."""
     if isinstance(elem, AlmostMonotoneElement) and elem.is_monotone():
-        return to_monotone(elem)
+        return MonotoneElement._trusted(elem.pieces)
     return elem
 
 

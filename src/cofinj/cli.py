@@ -14,7 +14,7 @@ from itertools import combinations
 from . import almost as _almost
 from . import exprlang
 from . import topology as _topology
-from .core import NEG_INF, POS_INF, MonotoneElement, element_from_gaps
+from .core import NEG_INF, POS_INF, MonotoneElement, _PieceMap, element_from_gaps
 from .exprlang import EvalError, ParseError, format_value
 
 EGGBOX_MAX_GAP_BOUND = 4
@@ -26,7 +26,7 @@ def _json_value(v):
         return {"type": "bool", "value": v}
     if isinstance(v, int):
         return {"type": "int", "value": v}
-    if exprlang._is_element(v):
+    if isinstance(v, _PieceMap):
         v = _almost.canonicalize(v)
         if isinstance(v, MonotoneElement):
             return {

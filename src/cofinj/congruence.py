@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import InvalidElementError, MonotoneElement, _from_runs, _idempotent, _window, shift
-from .almost import AlmostMonotoneElement
+from .core import InvalidElementError, MonotoneElement, _from_runs, _idempotent, _PieceMap, _window, shift
 
 
 class Signature(NamedTuple):
@@ -31,7 +30,7 @@ class Signature(NamedTuple):
 
 def mgc_signature(elem) -> Signature:
     """The quotient homomorphism: both tail offsets, added componentwise under composition."""
-    if not isinstance(elem, (MonotoneElement, AlmostMonotoneElement)):
+    if not isinstance(elem, _PieceMap):
         raise TypeError(f"not an element: {elem!r}")
     return Signature(elem.left_offset, elem.right_offset)
 

@@ -157,6 +157,11 @@ class _PieceMap:
     ``pieces`` is the tuple of the map's domain-sorted maximal (lo, hi,
     offset) pieces, each a plain tuple: ``x -> x + offset`` for
     ``lo <= x <= hi``, the first piece from -inf and the last to +inf.
+
+    Identity is decided here for both classes: ``==`` holds within a class
+    (same class, equal pieces), ``pieces`` is the map's identity across the
+    classes, and an element hashes as its pieces.  ``almost.canonicalize``
+    picks the class a map is shown in, for output only.
     """
 
     __slots__ = ("pieces",)
@@ -174,6 +179,14 @@ class _PieceMap:
     def __reduce__(self):
         # copies and pickles rebuild from the pieces, checked, in time independent of the widths
         return (_unpickled, (type(self), self.pieces))
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self.pieces == other.pieces
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.pieces)
 
     # -- pointwise semantics ------------------------------------------------
 
@@ -277,13 +290,11 @@ def _graft(pieces, points) -> list:
 class MonotoneElement(_PieceMap):
     """A monotone injective partial selfmap of Z in canonical segment form.
 
-    Instances are immutable and hashable; two elements are equal iff they
-    are equal as partial maps, which the normal form turns into tuple
-    equality.  The segments are stored as ``pieces``, plain tuples;
-    ``segments`` returns them as :class:`Segment` namedtuples, a new tuple
-    per read.  Use :func:`normalize` (or the constructors ``identity``,
-    ``shift``, ``element_from_gaps``) rather than building segment lists by
-    hand.
+    Instances are immutable, and equal as :class:`_PieceMap` says.  The
+    segments are stored as ``pieces``, plain tuples; ``segments`` returns
+    them as :class:`Segment` namedtuples, a new tuple per read.  Use
+    :func:`normalize` (or the constructors ``identity``, ``shift``,
+    ``element_from_gaps``) rather than building segment lists by hand.
 
     Outside data is validated once, where it enters: this constructor,
     :func:`normalize`, :func:`parse_element`, :func:`shift`,
@@ -317,22 +328,14 @@ class MonotoneElement(_PieceMap):
 
     def __mul__(self, other):
         if isinstance(other, MonotoneElement):
-            return _from_pieces(_kernel.compose_segments(self.pieces, other.pieces))
+            return MonotoneElement._trusted(_kernel.compose_segments(self.pieces, other.pieces))
         return NotImplemented
 
     def inverse(self) -> "MonotoneElement":
         # the images of a canonical segment list, read as domains, are canonical too
-        return _from_pieces(_inverted(self.pieces))
+        return MonotoneElement._trusted(_inverted(self.pieces))
 
-    # -- equality and text ----------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, MonotoneElement):
-            return self.pieces == other.pieces
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.pieces)
+    # -- text -----------------------------------------------------------------
 
     def to_text(self) -> str:
         """Canonical text: most specific of id / shift(k) / E{...} / seg[...]."""
@@ -350,11 +353,6 @@ class MonotoneElement(_PieceMap):
         # only the two outer bounds are infinite; %d writes an int subclass such as IntEnum by value
         inner = "".join(map("(%d..%d,%+d),".__mod__, segs[1:-1]))
         return "seg[(-inf..%d,%+d),%s(%d..+inf,%+d)]" % (*segs[0][1:], inner, segs[-1][0], segs[-1][2])
-
-
-def _from_pieces(pieces) -> MonotoneElement:
-    """The element whose canonical segments are the (lo, hi, offset) tuples ``pieces``, stored unchecked."""
-    return MonotoneElement._trusted(pieces)
 
 
 def _unpickled(cls, pieces):
@@ -399,7 +397,7 @@ def normalize(raw: Iterable[tuple]) -> MonotoneElement:
         raise InvalidElementError("leftmost segment must extend to -inf")
     if merged[-1][1] != POS_INF:
         raise InvalidElementError("rightmost segment must extend to +inf")
-    return _from_pieces(merged)
+    return MonotoneElement._trusted(merged)
 
 
 def identity() -> MonotoneElement:
@@ -422,7 +420,7 @@ def _collapse_runs(runs) -> MonotoneElement:
         dropped += hi - lo + 1
         prev = hi
     segs.append((prev + 1, POS_INF, -dropped))
-    return _from_pieces(segs)
+    return MonotoneElement._trusted(segs)
 
 
 @lru_cache(maxsize=8192)
@@ -433,7 +431,7 @@ def _collapse_cached(gaps: tuple) -> MonotoneElement:
 
 def _idempotent(runs) -> MonotoneElement:
     """The identity map off (lo, hi) gap runs sorted by lo, which may touch or overlap."""
-    return _from_pieces(_translation_off(runs))
+    return MonotoneElement._trusted(_translation_off(runs))
 
 
 def collapse_element(gaps: Iterable[int]) -> MonotoneElement:
@@ -464,7 +462,7 @@ def _from_runs(dom_runs, ran_runs, k: int) -> MonotoneElement:
 def _joined(left: MonotoneElement, k: int, right: MonotoneElement) -> MonotoneElement:
     """The collapse ``left``, then x -> x + k, then the inverse of the collapse ``right``."""
     if k:
-        left = _from_pieces([(lo, hi, o + k) for lo, hi, o in left.pieces])
+        left = MonotoneElement._trusted([(lo, hi, o + k) for lo, hi, o in left.pieces])
     return left * right.inverse()
 
 
@@ -595,7 +593,7 @@ class IdempotentGaps:
     def to_element(self) -> MonotoneElement:
         # the collapse of the same gaps has the same domain; zero its offsets
         segs = _collapse_cached(tuple(sorted(self.gaps))).pieces
-        return _from_pieces([(lo, hi, 0) for lo, hi, _ in segs])
+        return MonotoneElement._trusted([(lo, hi, 0) for lo, hi, _ in segs])
 
     def leq(self, other: "IdempotentGaps") -> bool:
         """Natural partial order: self <= other iff dom(self) is contained in dom(other)."""

@@ -28,7 +28,7 @@ from . import bicyclic as _bicyclic
 from . import congruence as _congruence
 from . import green as _green
 from . import topology as _topology
-from .core import InvalidElementError, MonotoneElement, _is_int, _runs_within, identity, parse_element, shift
+from .core import InvalidElementError, _is_int, _PieceMap, _runs_within, identity, parse_element, shift
 
 # The deepest nesting of '(', '{' and calls that a statement may have.  Each
 # level costs the parser, the evaluator and the printer a few Python frames,
@@ -345,12 +345,8 @@ def parse(text: str):
 # -- evaluation ------------------------------------------------------------------
 
 
-def _is_element(v) -> bool:
-    return isinstance(v, (MonotoneElement, _almost.AlmostMonotoneElement))
-
-
 def _need_element(v, where):
-    if not _is_element(v):
+    if not isinstance(v, _PieceMap):
         raise EvalError(f"{where} expects an element, got {format_value(v)}")
     return v
 
@@ -401,7 +397,7 @@ class Evaluator:
         if isinstance(node, Pair):
             return (self._eval(node.left), self._eval(node.right))
         if isinstance(node, SetLit):
-            return frozenset(_canon_value(self._eval(n)) for n in node.items)
+            return frozenset(_almost.canonicalize(self._eval(n)) for n in node.items)
         if isinstance(node, Solve):
             return self._solve(node)
         if isinstance(node, Hole):
@@ -526,16 +522,12 @@ def _word_normal_form(node):
 # -- value formatting ---------------------------------------------------------------
 
 
-def _canon_value(v):
-    return _almost.canonicalize(v) if _is_element(v) else v
-
-
 def _sort_key(v):
     if isinstance(v, bool):
         return (0, str(v))
     if isinstance(v, int):
         return (1, v)
-    if _is_element(v):
+    if isinstance(v, _PieceMap):
         return (2, _almost.canonicalize(v).to_text())
     return (3, format_value(v))
 
@@ -546,7 +538,7 @@ def format_value(v) -> str:
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
-    if _is_element(v):
+    if isinstance(v, _PieceMap):
         return _almost.canonicalize(v).to_text()
     if isinstance(v, _topology.BasicNeighborhood):
         return v.to_text()

@@ -25,7 +25,6 @@ from .core import (
     MonotoneElement,
     element_from_gaps,
     _collapse_runs,
-    _from_pieces,
     _from_runs,
     _merged,
     _overlaps,
@@ -112,20 +111,20 @@ def _right_solutions(a, b, within):
     options' point pieces; the full product a*x is compared with b on that
     raw list, and only a candidate that passes is wrapped.
     """
+    either_almost = isinstance(a, _AM) or isinstance(b, _AM)
     if within is None:
-        within = "almost" if isinstance(a, _AM) or isinstance(b, _AM) else "monotone"
+        within = "almost" if either_almost else "monotone"
     if within == "almost":
-        a, b = _almost.as_almost(a), _almost.as_almost(b)
         # a's pieces are sorted by image once; each check is the full product a*x
         check = partial(_almost._composite, _almost._by_image(a))
         cells, pair, wrap = _almost_cells, permutations, _AM._trusted
     elif within != "monotone":
         raise ValueError(f"unknown monoid {within!r}")
-    elif isinstance(a, _AM) or isinstance(b, _AM):
+    elif either_almost:
         raise InvalidElementError("the monotone monoid takes monotone elements")
     else:
         check = partial(_kernel.compose_segments, a.pieces)
-        cells, pair, wrap = _monotone_cells, combinations, _from_pieces
+        cells, pair, wrap = _monotone_cells, combinations, MonotoneElement._trusted
     if not _runs_within(a._dom_runs(), b._dom_runs()):
         return ()
     forced = a.inverse() * b

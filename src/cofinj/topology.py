@@ -56,6 +56,7 @@ from .core import (
     _gaps_between,
     _graft,
     _overlaps,
+    _PieceMap,
     _runs_within,
     _translation_off,
     _window,
@@ -73,6 +74,8 @@ class BasicNeighborhood:
     def __init__(self, center, pins, flavor: str = "W"):
         if flavor not in ("W", "H"):
             raise InvalidElementError(f"flavor must be 'W' or 'H', got {flavor!r}")
+        if not isinstance(center, _PieceMap):
+            raise InvalidElementError(f"center must be an element, got {center!r}")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "pins", _checked_pins(pins, center, "the center's domain"))
         object.__setattr__(self, "flavor", flavor)
@@ -93,17 +96,18 @@ class BasicNeighborhood:
             return (
                 self.flavor == other.flavor
                 and self.pins == other.pins
-                and _almost.canonicalize(self.center) == _almost.canonicalize(other.center)
+                and self.center.pieces == other.center.pieces
             )
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.flavor, self.pins, _almost.canonicalize(self.center)))
+        # the center's pieces hash as the center does, whichever its class
+        return hash((self.flavor, self.pins, self.center.pieces))
 
     def to_text(self) -> str:
         name = "nbhd" if self.flavor == "W" else "nbhd_h"
         pins = ", ".join(str(p) for p in sorted(self.pins))
-        return f"{name}({_almost.canonicalize(self.center)!r}; {pins})"
+        return f"{name}({_almost.canonicalize(self.center).to_text()}; {pins})"
 
     def __repr__(self):
         return self.to_text()
@@ -186,7 +190,7 @@ def separate(a, b):
     it; the other side excludes it by domain shrinkage).  The witness point
     is the smallest available by (|x|, x).
     """
-    if _almost.canonicalize(a) == _almost.canonicalize(b):
+    if a.pieces == b.pieces:
         raise InvalidElementError("cannot separate an element from itself")
     overlaps = _overlaps(a.pieces, b.pieces)
     x = _nearest_zero((lo, hi) for lo, hi, p, q in overlaps if p[2] != q[2])

@@ -177,6 +177,22 @@ def test_monotone_round_trip():
 def test_canonicalize_picks_segment_form():
     assert canonicalize(from_monotone(shift(2))) == shift(2)
     assert canonicalize(SCRAMBLE) is SCRAMBLE
+    # values that are not elements pass through, as the evaluator's set literals rely on
+    for v in (5, True, (1, 2), frozenset({shift(1)}), None):
+        assert canonicalize(v) is v
+
+
+def test_equality_is_within_a_class_and_pieces_across():
+    rng = random.Random(17)
+    for _ in range(200):
+        m = random_element(rng, 3, 3)
+        a = from_monotone(m)
+        assert m != a and a != m
+        assert a.pieces == m.pieces
+        assert hash(m) == hash(a) == hash(m.pieces)
+        assert len({m, a}) == 2
+        assert a == from_monotone(m) and canonicalize(a) == m
+        assert m != m.pieces and a != a.pieces
 
 
 def test_idempotent_agreement_across_representations():

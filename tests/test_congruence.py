@@ -40,6 +40,14 @@ def test_signature_of_almost_elements():
         assert mgc_signature(am.from_monotone(m)) == mgc_signature(m)
 
 
+def test_signature_takes_either_class_and_rejects_other_values():
+    for e in (shift(2), am.from_monotone(shift(2)), am.random_almost(3)):
+        assert mgc_signature(e) == Signature(e.left_offset, e.right_offset)
+    for v in (2, None, (0, 0), IdempotentGaps({0}), shift(1).pieces):
+        with pytest.raises(TypeError, match="not an element"):
+            mgc_signature(v)
+
+
 def test_homomorphism_monotone():
     rng = random.Random(2)
     for _ in range(500):

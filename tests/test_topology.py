@@ -5,6 +5,7 @@ import pytest
 from cofinj.core import (
     IdempotentGaps,
     InvalidElementError,
+    _PieceMap,
     identity,
     parse_element,
     random_element,
@@ -43,6 +44,38 @@ def test_neighborhood_validates_pins():
         BasicNeighborhood(IdempotentGaps({0}).to_element(), {0}, "W")
     with pytest.raises(InvalidElementError):
         BasicNeighborhood(identity(), {0}, "X")
+
+
+def test_neighborhood_checks_its_center():
+    for center in (5, None, "id", IdempotentGaps({0}), shift(1).pieces):
+        with pytest.raises(InvalidElementError) as err:
+            BasicNeighborhood(center, ())
+        assert str(err.value) == f"center must be an element, got {center!r}"
+    # the center is checked before the pins
+    with pytest.raises(InvalidElementError, match="center must be an element, got None"):
+        BasicNeighborhood(None, [1])
+
+
+def test_neighborhoods_compare_their_centers_as_maps():
+    rng = random.Random(12)
+    for flavor in ("W", "H"):
+        for _ in range(60):
+            c = random_element(rng, 2, 2)
+            pins = frozenset([x for x in range(-6, 7) if x in c][: rng.randint(0, 2)])
+            mono = BasicNeighborhood(c, pins, flavor)
+            almost = BasicNeighborhood(am.from_monotone(c), pins, flavor)
+            assert mono == almost and almost == mono
+            assert hash(mono) == hash(almost) == hash((flavor, pins, c))
+            assert mono.to_text() == almost.to_text()
+            assert mono != BasicNeighborhood(c * shift(1), pins, flavor)
+
+
+def test_neighborhood_text_does_not_rely_on_repr(monkeypatch):
+    nbs = [BasicNeighborhood(A0P, [0], "W"), BasicNeighborhood(am.from_monotone(A0P), [0, 3], "H")]
+    want = ["nbhd(seg[(-inf..0,+0),(1..+inf,+1)]; 0)", "nbhd_h(seg[(-inf..0,+0),(1..+inf,+1)]; 0, 3)"]
+    assert [nb.to_text() for nb in nbs] == want
+    monkeypatch.setattr(_PieceMap, "__repr__", lambda self: "<elided>")
+    assert [nb.to_text() for nb in nbs] == want
 
 
 PIN_CHECKS = {
@@ -180,6 +213,12 @@ def test_separate_examples():
     assert separate(IdempotentGaps({0}).to_element(), identity()) == (frozenset(), frozenset({0}))
     with pytest.raises(InvalidElementError):
         separate(identity(), identity())
+    rng = random.Random(13)
+    for _ in range(50):
+        a = random_element(rng, 2, 2)
+        for x, y in ((a, am.from_monotone(a)), (am.from_monotone(a), a)):
+            with pytest.raises(InvalidElementError, match="cannot separate an element from itself"):
+                separate(x, y)
 
 
 def test_separate_audits():
