@@ -424,12 +424,63 @@ _AM_RE = re.compile(
 _PAIR_RE = re.compile(r"([+-]?\d+)\s*->\s*([+-]?\d+)\Z")
 
 
+# deletes the numbers and their signs, and so the "-" of each "->", from a literal
+_AM_NUMBERS = str.maketrans("", "", "0123456789+-")
+
+
+def _printed_almost(s: str):
+    """The arguments of make_almost for a literal spelled exactly as ``to_text`` prints it, else None.
+
+    Deleting the numbers from a printed literal with m middle entries leaves
+    ``am[d=,L=,u=,R=;``, then m times `` >`` joined by commas, then ``]``.
+    When that skeleton matches, a character in the wrong place leaves a letter,
+    bracket or separator in one of the fields cut out below, where ``int``
+    rejects it.  ``int`` would strip a space, so the one after ``;`` is checked;
+    any other space out of place stays in a field with its comma.  A repeated
+    middle point also takes the regex path, which reports it.
+    """
+    skeleton = s.translate(_AM_NUMBERS)
+    m = skeleton.count(">")
+    if skeleton != "am[d=,L=,u=,R=;" + (" >," * m)[:-1] + "]":
+        return None
+    head, _, mid = s[5:-1].partition(";")
+    if mid[:1] != (" " if m else ""):
+        return None
+    try:
+        d, dl, u, ur = map(int, head.replace(",L=", ",").replace(",u=", ",").replace(",R=", ",").split(","))
+        ends = [*map(int, mid[1:].replace("->", ", ").split(", "))] if m else []
+    except ValueError:
+        return None
+    middle = dict(zip(ends[::2], ends[1::2]))
+    if len(middle) != m:
+        return None
+    return d, dl, u, ur, middle
+
+
 def parse_almost(text: str) -> AlmostMonotoneElement:
-    """Parse the am[d=..,L=..,u=..,R=..; k->v, ...] syntax."""
+    """Parse the am[d=..,L=..,u=..,R=..; k->v, ...] syntax.
+
+    A literal spelled exactly as :meth:`AlmostMonotoneElement.to_text` prints
+    it is read by C-level string passes; every other spelling goes through the
+    regex reader.  Both hand their data to :func:`make_almost`, so they accept
+    the same texts and raise the same errors.
+    """
+    args = _printed_almost(text.strip())
+    if args is None:
+        return _parse_almost_by_regex(text)
+    return make_almost(*args)
+
+
+def _parse_almost_by_regex(text: str) -> AlmostMonotoneElement:
+    """The regex reader of every spelling, the reference for the printed-text fast path."""
     m = _AM_RE.match(text.strip())
     if not m:
         raise InvalidElementError(f"not an almost-monotone literal: {text!r}")
-    d, dl, u, ur = (int(m.group(i)) for i in range(1, 5))
+    try:
+        # the regex admits only digits, so int fails only past the interpreter's digit limit
+        d, dl, u, ur = map(int, m.group(1, 2, 3, 4))
+    except ValueError:
+        raise InvalidElementError(f"not an almost-monotone literal: {text!r}") from None
     body = m.group(5).strip()
     # lazily, so a malformed entry and a repeated point are reported in text order
     pairs = (_parse_pair(part.strip()) for part in body.split(",")) if body else ()
@@ -438,6 +489,10 @@ def parse_almost(text: str) -> AlmostMonotoneElement:
 
 def _parse_pair(text: str) -> tuple:
     pm = _PAIR_RE.match(text)
-    if not pm:
-        raise InvalidElementError(f"malformed middle entry: {text!r}")
-    return int(pm.group(1)), int(pm.group(2))
+    if pm:
+        # int fails only past the interpreter's digit limit
+        try:
+            return int(pm.group(1)), int(pm.group(2))
+        except ValueError:
+            pass
+    raise InvalidElementError(f"malformed middle entry: {text!r}")

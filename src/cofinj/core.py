@@ -663,8 +663,52 @@ def _parse_bound(text: str):
     return int(text)
 
 
+# deletes the numbers, their signs and the letters of "inf" from a segment list
+_SEG_NUMBERS = str.maketrans("", "", "0123456789+-inf")
+
+
+def _printed_segments(body: str):
+    """The segments of a ``seg[...]`` body spelled exactly as ``to_seg_text`` prints it, else None.
+
+    Deleting the numbers from a printed body of n segments leaves
+    ``(..,),(..,)`` with n groups.  When that skeleton matches, a character in
+    the wrong place leaves a bracket, a dot, a comma or a letter in one of the
+    fields cut out below, where ``int`` or the two ``inf`` comparisons reject
+    it.  On a field of ASCII digits and signs, ``int`` accepts exactly an
+    optional sign and digits, as the regex reader does.
+    """
+    skeleton = body.translate(_SEG_NUMBERS)
+    n = (len(skeleton) + 1) // 6
+    if not n or skeleton != ("(..,)," * n)[:-1]:
+        return None
+    fields = body[1:-1].replace("),(", ",").replace("..", ",").split(",")
+    if fields[0] != "-inf" or fields[-2] != "+inf":
+        return None
+    try:
+        bounds = [NEG_INF, *map(int, fields[1:-2]), POS_INF, int(fields[-1])]
+    except ValueError:
+        return None
+    return zip(*[iter(bounds)] * 3)
+
+
 def parse_element(text: str) -> MonotoneElement:
-    """Parse the canonical element syntax: id, shift(k), E{...}, seg[...]."""
+    """Parse the canonical element syntax: id, shift(k), E{...}, seg[...].
+
+    A ``seg[...]`` literal spelled exactly as :meth:`MonotoneElement.to_seg_text`
+    prints it is read by C-level string passes; every other spelling goes
+    through the regex reader.  Both hand their segments to :func:`normalize`,
+    so they accept the same texts and raise the same errors.
+    """
+    s = text.strip()
+    if s[:4] == "seg[" and s[-1:] == "]":
+        segs = _printed_segments(s[4:-1])
+        if segs is not None:
+            return normalize(segs)
+    return _parse_element_by_regex(text)
+
+
+def _parse_element_by_regex(text: str) -> MonotoneElement:
+    """The regex reader of every spelling, the reference for the printed-text fast path."""
     s = text.strip()
     if s == "id":
         return identity()
@@ -684,8 +728,10 @@ def parse_element(text: str) -> MonotoneElement:
         body = m.group(1)
         if not _SEG_BODY_RE.match(body):
             raise InvalidElementError(f"malformed segment list: {text!r}")
-        return normalize(
-            (_parse_bound(lo), _parse_bound(hi), int(off))
-            for lo, hi, off in _ONE_SEG_RE.findall(body)
-        )
+        try:
+            # the regex admits only digits, so int fails only past the interpreter's digit limit
+            segs = [(_parse_bound(lo), _parse_bound(hi), int(off)) for lo, hi, off in _ONE_SEG_RE.findall(body)]
+        except ValueError:
+            raise InvalidElementError(f"malformed segment list: {text!r}") from None
+        return normalize(segs)
     raise InvalidElementError(f"not an element literal: {text!r}")

@@ -74,8 +74,7 @@ class BasicNeighborhood:
     def __init__(self, center, pins, flavor: str = "W"):
         if flavor not in ("W", "H"):
             raise InvalidElementError(f"flavor must be 'W' or 'H', got {flavor!r}")
-        if not isinstance(center, _PieceMap):
-            raise InvalidElementError(f"center must be an element, got {center!r}")
+        _check_element(center, "center")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "pins", _checked_pins(pins, center, "the center's domain"))
         object.__setattr__(self, "flavor", flavor)
@@ -113,6 +112,11 @@ class BasicNeighborhood:
         return self.to_text()
 
 
+def _check_element(v, name: str):
+    if not isinstance(v, _PieceMap):
+        raise InvalidElementError(f"{name} must be an element, got {v!r}")
+
+
 def _checked_pins(pins, elem, domain: str) -> frozenset:
     """Outside pins as a frozenset of integers in dom(elem); ``domain`` names dom(elem) in the message."""
     try:
@@ -127,6 +131,7 @@ def _checked_pins(pins, elem, domain: str) -> frozenset:
 
 
 def member(nbhd: BasicNeighborhood, elem) -> bool:
+    _check_element(elem, "member")
     c = nbhd.center
     if nbhd.flavor == "W":
         if not _runs_within(c._dom_runs(), elem._dom_runs()):
@@ -190,6 +195,8 @@ def separate(a, b):
     it; the other side excludes it by domain shrinkage).  The witness point
     is the smallest available by (|x|, x).
     """
+    _check_element(a, "each argument of separate")
+    _check_element(b, "each argument of separate")
     if a.pieces == b.pieces:
         raise InvalidElementError("cannot separate an element from itself")
     overlaps = _overlaps(a.pieces, b.pieces)

@@ -6,6 +6,8 @@ enumeration, never through the segment arithmetic under test.
 
 from itertools import combinations, filterfalse, permutations, product
 
+import pytest
+
 from cofinj import _kernel
 from cofinj.almost import AlmostMonotoneElement, _middle_dict, compose_almost, inverse_almost, make_almost
 from cofinj.core import (
@@ -16,9 +18,22 @@ from cofinj.core import (
     MonotoneElement,
     Segment,
     _check_segment,
+    _PieceMap,
     element_from_gaps,
     normalize,
 )
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _pieces_as_repr():
+    """Elements print as their piece tuples in a module that imports this fixture.
+
+    A failing assert prints its elements, and the canonical text of a
+    2^60-wide window would not fit in memory.
+    """
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_PieceMap, "__repr__", lambda self: f"{type(self).__name__}({self.pieces})")
+        yield
 
 
 def finite_bound(elem) -> int:

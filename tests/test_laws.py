@@ -19,28 +19,19 @@ would print its arguments.
 
 import itertools
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cofinj import almost as am
-from cofinj import core
 from cofinj.congruence import mgc_signature
 from cofinj.core import NEG_INF, POS_INF, MonotoneElement, parse_element
 from cofinj.exprlang import Evaluator, Lit, Pred, format_value
 from cofinj.green import l_equiv, r_equiv, solve_left, solve_right
 
-from helpers import assert_pointwise, breaks, image_breaks, pull_back
+from helpers import _pieces_as_repr, assert_pointwise, breaks, image_breaks, pull_back  # noqa: F401
 
 WIDE = 2**60
 BIG = 10**12
-
-@pytest.fixture(autouse=True, scope="module")
-def _pieces_as_repr():
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(core._PieceMap, "__repr__", lambda self: f"{type(self).__name__}({self.pieces})")
-        yield
-
 
 LAWS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 

@@ -37,17 +37,9 @@ from cofinj.core import (
 from cofinj.green import solve_left, solve_right
 from cofinj.topology import BasicNeighborhood, sample_member
 
-from helpers import assert_pointwise, breaks, pull_back
+from helpers import _pieces_as_repr, assert_pointwise, breaks, pull_back  # noqa: F401
 
 BIG = 2**60
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _pieces_as_repr():
-    # a failing assert prints its elements; the text of a 2^60-wide window would not fit in memory
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(core._PieceMap, "__repr__", lambda self: f"{type(self).__name__}({self.pieces})")
-        yield
 
 
 def _monotone_corpus():

@@ -56,6 +56,19 @@ def test_neighborhood_checks_its_center():
         BasicNeighborhood(None, [1])
 
 
+def test_member_and_separate_check_their_elements():
+    nb = BasicNeighborhood(identity(), ())
+    for v in (5, None, "id", IdempotentGaps({0}), shift(1).pieces):
+        for test in (lambda: v in nb, lambda: member(nb, v)):
+            with pytest.raises(InvalidElementError) as err:
+                test()
+            assert str(err.value) == f"member must be an element, got {v!r}"
+        for args in ((identity(), v), (v, identity()), (v, v)):
+            with pytest.raises(InvalidElementError) as err:
+                separate(*args)
+            assert str(err.value) == f"each argument of separate must be an element, got {v!r}"
+
+
 def test_neighborhoods_compare_their_centers_as_maps():
     rng = random.Random(12)
     for flavor in ("W", "H"):
