@@ -357,7 +357,8 @@ def unit_recompose(dec: UnitDecomposition) -> AlmostMonotoneElement:
 
     A support of plain-int tuple or list pairs passes C-level passes over
     the entry types, their lengths and the point types; any other support is
-    checked entry by entry.  The unit is built in O(s log s) for s support points.
+    checked entry by entry.  The checked permutation goes to :func:`_permuted`
+    with no gaps, which builds the unit in O(s log s) for s support points.
     """
     try:
         support = tuple(dec.support_perm)
@@ -381,7 +382,12 @@ def unit_recompose(dec: UnitDecomposition) -> AlmostMonotoneElement:
     k = dec.shift
     if type(k) is not int and not _is_int(k):
         raise InvalidElementError("shift must be an integer")
-    base = _translation_off([(x, x) for x in sorted(perm)], k)
+    return _permuted((), perm, k)
+
+
+def _permuted(gap_runs, perm: dict, k: int = 0) -> AlmostMonotoneElement:
+    """x -> (x)perm + k on Z minus the (lo, hi) gap runs: every finite permutation is built here."""
+    base = _translation_off(sorted([*gap_runs, *[(x, x) for x in perm]]), k)
     return AlmostMonotoneElement._trusted(_graft(base, [(x, y + k) for x, y in perm.items()]))
 
 

@@ -714,7 +714,11 @@ def _parse_element_by_regex(text: str) -> MonotoneElement:
         return identity()
     m = _SHIFT_RE.match(s)
     if m:
-        return shift(int(m.group(1)))
+        try:
+            k = int(m.group(1))
+        except ValueError:
+            raise InvalidElementError(f"not an element literal: {text!r}") from None
+        return shift(k)
     m = _EGAPS_RE.match(s)
     if m:
         body = m.group(1).strip()

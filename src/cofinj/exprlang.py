@@ -201,10 +201,10 @@ class _Parser:
         self.i += 1
         return t
 
-    def fail(self, message, expected=()):
-        t = self.peek()
-        line, col = _line_col(self.text, t.pos)
-        raise ParseError(message, t.pos, line, col, expected)
+    def fail(self, message, expected=(), pos=None):
+        pos = self.peek().pos if pos is None else pos
+        line, col = _line_col(self.text, pos)
+        raise ParseError(message, pos, line, col, expected)
 
     def expect(self, kind) -> Token:
         if self.peek().kind != kind:
@@ -270,10 +270,10 @@ class _Parser:
             self.next()
             m = _GEN_RE.match(t.text)
             letter = "p" if m.group(1) == "a" else "q"
-            return Gen(int(m.group(3)), m.group(2), letter)
+            return Gen(self._int(m.group(3), t.pos + m.start(3)), m.group(2), letter)
         if t.kind == "INT":
             self.next()
-            return Lit(int(t.text))
+            return Lit(self._int(t.text, t.pos))
         if t.kind == "NAME":
             return self.parse_name()
         if t.kind == "(":
@@ -328,13 +328,17 @@ class _Parser:
                         pins.append(self._pin())
             self.expect(")")
             return Call(name, args, pins)
-        line, col = _line_col(self.text, t.pos)
-        raise ParseError(f"unknown name {name!r}", t.pos, line, col,
-                         expected=("id", "true", "false", *sorted(_FUNCTIONS)))
+        self.fail(f"unknown name {name!r}", ("id", "true", "false", *sorted(_FUNCTIONS)), t.pos)
 
     def _pin(self) -> int:
         t = self.expect("INT")
-        return int(t.text)
+        return self._int(t.text, t.pos)
+
+    def _int(self, digits, pos) -> int:
+        try:
+            return int(digits)
+        except ValueError:
+            self.fail("integer past the interpreter's digit limit", pos=pos)
 
 
 def parse(text: str):
@@ -355,7 +359,6 @@ def _need_idempotent(v, where):
     _need_element(v, where)
     if not v.is_idempotent():
         raise EvalError(f"{where} expects an idempotent, got {format_value(v)}")
-    return v
 
 
 class Evaluator:
@@ -379,7 +382,7 @@ class Evaluator:
             vals = [self._eval(n) for n in node.items]
             out = vals[0]
             for v in vals[1:]:
-                out = self._compose(out, v)
+                out = _almost.canonicalize(_need_element(out, "'*'") * _need_element(v, "'*'"))
             return out
         if isinstance(node, Inv):
             # a '^-1' chain is a loop, with no Python frame per inversion
@@ -404,11 +407,6 @@ class Evaluator:
             raise EvalError("'?' outside a solve statement")
         raise EvalError(f"cannot evaluate {node!r}")
 
-    def _compose(self, a, b):
-        _need_element(a, "'*'")
-        _need_element(b, "'*'")
-        return _almost.canonicalize(a * b)
-
     def _pred(self, node):
         a = self._eval(node.left)
         b = self._eval(node.right)
@@ -430,49 +428,41 @@ class Evaluator:
     def _call(self, node):
         name = node.name
         args = [self._eval(a) for a in node.args]
+        if name == "nf":
+            return _word_normal_form(node.args[0])
         if name == "shift":
             if not _is_int(args[0]):
                 raise EvalError("shift expects an integer")
             return shift(args[0])
+        if name not in _FUNCTIONS:
+            raise EvalError(f"unknown function {name!r}")
+        if name in ("in", "sample"):
+            nb = args.pop(0)
+            if not isinstance(nb, _topology.BasicNeighborhood):
+                raise EvalError("in expects a neighborhood as its first argument" if name == "in"
+                                else "sample expects a neighborhood")
+        for v in args:
+            _need_element(v, name)
         if name == "h":
-            return tuple(_congruence.mgc_signature(_need_element(args[0], "h")))
+            return tuple(_congruence.mgc_signature(*args))
         if name == "F_min":
-            return frozenset(_almost.minimal_exceptions(_need_element(args[0], "F_min")))
-        if name == "nf":
-            return _word_normal_form(node.args[0])
+            return frozenset(_almost.minimal_exceptions(*args))
         if name in ("nbhd", "nbhd_h"):
-            center = _need_element(args[0], name)
-            flavor = "W" if name == "nbhd" else "H"
-            return _make_nbhd(center, node.pins, flavor)
+            try:
+                return _topology.BasicNeighborhood(*args, node.pins or (), "W" if name == "nbhd" else "H")
+            except InvalidElementError as e:
+                raise EvalError(str(e)) from None
         if name == "in":
-            nb = args[0]
-            if not isinstance(nb, _topology.BasicNeighborhood):
-                raise EvalError("in expects a neighborhood as its first argument")
-            return _topology.member(nb, _need_element(args[1], "in"))
-        if name == "cover":
-            a = _need_element(args[0], "cover")
-            b = _need_element(args[1], "cover")
-            f1, f2 = _topology.product_cover(a, b, node.pins)
-            return (f1, f2)
+            return _topology.member(nb, *args)
         if name == "sample":
-            nb = args[0]
-            if not isinstance(nb, _topology.BasicNeighborhood):
-                raise EvalError("sample expects a neighborhood")
             return _almost.canonicalize(_topology.sample_member(nb, self.rng))
+        if name == "cover":
+            return _topology.product_cover(*args, node.pins)
         if name == "audit_cover":
-            a = _need_element(args[0], "audit_cover")
-            b = _need_element(args[1], "audit_cover")
-            return _topology.audit_product_cover(a, b, node.pins, self.rng)
+            return _topology.audit_product_cover(*args, node.pins, self.rng)
         if name == "audit_inv":
-            a = _need_element(args[0], "audit_inv")
-            return _topology.audit_inverse_cover(a, node.pins, self.rng)
-        if name == "audit_sep":
-            return _topology.audit_separate(
-                _need_element(args[0], "audit_sep"),
-                _need_element(args[1], "audit_sep"),
-                self.rng,
-            )
-        raise EvalError(f"unknown function {name!r}")
+            return _topology.audit_inverse_cover(*args, node.pins, self.rng)
+        return _topology.audit_separate(*args, self.rng)
 
     def _solve(self, node):
         holes = [i for i, f in enumerate(node.factors) if isinstance(f, Hole)]
@@ -480,12 +470,10 @@ class Evaluator:
             raise EvalError("a solve statement needs exactly one '?'")
         if holes[0] not in (0, len(node.factors) - 1):
             raise EvalError("the '?' must be the leftmost or rightmost factor")
-        known = [self._eval(f) for f in node.factors if not isinstance(f, Hole)]
+        known = [f for f in node.factors if not isinstance(f, Hole)]
         if not known:
             raise EvalError("the known side of a solve statement is empty")
-        a = known[0]
-        for v in known[1:]:
-            a = self._compose(a, v)
+        a = self._eval(Prod(known))
         b = self._eval(node.rhs)
         _need_element(a, "solve")
         _need_element(b, "solve")
@@ -494,13 +482,6 @@ class Evaluator:
         else:
             sols = _green.solve_right(a, b)
         return frozenset(_almost.canonicalize(x) for x in sols)
-
-
-def _make_nbhd(center, pins, flavor):
-    try:
-        return _topology.BasicNeighborhood(center, pins or (), flavor)
-    except InvalidElementError as e:
-        raise EvalError(str(e)) from None
 
 
 def _word_normal_form(node):

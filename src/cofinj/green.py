@@ -24,7 +24,6 @@ from .core import (
     InvalidElementError,
     MonotoneElement,
     element_from_gaps,
-    _collapse_runs,
     _from_runs,
     _merged,
     _overlaps,
@@ -66,7 +65,7 @@ def factorize_simple(gamma: MonotoneElement, phi: MonotoneElement):
     two-sided ideals.  kappa re-indexes dom(gamma) onto dom(phi) through the
     canonical collapses; xi is then forced.
     """
-    kappa = _collapse_runs(gamma._dom_runs()) * _collapse_runs(phi._dom_runs()).inverse()
+    kappa = _from_runs(gamma._dom_runs(), phi._dom_runs(), 0)
     xi = (kappa * phi).inverse() * gamma
     return kappa, xi
 

@@ -54,11 +54,9 @@ from .core import (
     POS_INF,
     _check_int,
     _gaps_between,
-    _graft,
     _overlaps,
     _PieceMap,
     _runs_within,
-    _translation_off,
     _window,
 )
 from . import _kernel
@@ -131,6 +129,8 @@ def _checked_pins(pins, elem, domain: str) -> frozenset:
 
 
 def member(nbhd: BasicNeighborhood, elem) -> bool:
+    if not isinstance(nbhd, BasicNeighborhood):
+        raise InvalidElementError(f"member's nbhd must be a neighborhood, got {nbhd!r}")
     _check_element(elem, "member")
     c = nbhd.center
     if nbhd.flavor == "W":
@@ -143,16 +143,15 @@ def member(nbhd: BasicNeighborhood, elem) -> bool:
 
 
 def _extent(elem, pins=()) -> int:
-    """The largest |x| over the pins, the finite piece ends and their images.
+    """The largest |x| over the pins, the finite piece ends, the window ends and their images.
 
-    An almost-monotone total translation also counts its window (0, 1); a
-    monotone one adds no ends.
+    The window ends are finite piece ends unless the element is a total
+    translation, whose window is (0, 1); either class counts it.
     """
     pieces = elem.pieces
     ends = [v for lo, hi, o in pieces for e in (lo, hi) if abs(e) != POS_INF for v in (e, e + o)]
-    if isinstance(elem, _almost.AlmostMonotoneElement):
-        d, u = _window(pieces)
-        ends += (d, d + pieces[0][2], u, u + pieces[-1][2])
+    d, u = _window(pieces)
+    ends += (d, d + pieces[0][2], u, u + pieces[-1][2])
     return max(map(abs, chain(pins, ends)), default=0)
 
 
@@ -461,12 +460,6 @@ def _w_almost_plan(nbhd):
     return draw
 
 
-def _perm_of_cofinite(gap_runs, moved: dict) -> _almost.AlmostMonotoneElement:
-    """The bijection of Z minus the sorted gap runs that applies the finite permutation ``moved``."""
-    base = _translation_off(sorted(gap_runs + [(x, x) for x in moved]))
-    return _almost.AlmostMonotoneElement._trusted(_graft(base, moved.items()))
-
-
 def _random_perm(pts, rng):
     """A random permutation of at most 4 of the increasing points ``pts``, without fixed points."""
     n = rng.randint(0, min(4, len(pts)))
@@ -477,16 +470,17 @@ def _random_perm(pts, rng):
 
 
 def _h_plan(nbhd):
-    c = _almost.as_almost(nbhd.center)
+    """The H draw: the center, of either class, conjugated by permutations of its window's points off the pins."""
+    c = nbhd.center
     w = _extent(c, nbhd.pins) + 3
     pin_images = {c(x) for x in nbhd.pins}
     dom_pool = [x for x in _window_points(c, w) if x not in nbhd.pins]
-    ran_pool = [y for y in _window_points(_almost.inverse_almost(c), w) if y not in pin_images]
+    ran_pool = [y for y in _window_points(c.inverse(), w) if y not in pin_images]
     dom_runs, ran_runs = c._dom_runs(), c._ran_runs()
 
     def draw(rng):
-        sigma = _perm_of_cofinite(dom_runs, _random_perm(dom_pool, rng))
-        rho = _perm_of_cofinite(ran_runs, _random_perm(ran_pool, rng))
+        sigma = _almost._permuted(dom_runs, _random_perm(dom_pool, rng))
+        rho = _almost._permuted(ran_runs, _random_perm(ran_pool, rng))
         return _almost.compose_almost(_almost.compose_almost(sigma, c), rho)
 
     return draw

@@ -4,6 +4,7 @@ Everything here works pointwise on explicit integer windows or by exhaustive
 enumeration, never through the segment arithmetic under test.
 """
 
+import time
 from itertools import combinations, filterfalse, permutations, product
 
 import pytest
@@ -34,6 +35,17 @@ def _pieces_as_repr():
     with pytest.MonkeyPatch.context() as m:
         m.setattr(_PieceMap, "__repr__", lambda self: f"{type(self).__name__}({self.pieces})")
         yield
+
+
+def _fastest_ms(fn):
+    """(fastest wall time in ms of three calls of fn, the last call's result)."""
+    best = None
+    for _ in range(3):
+        t0 = time.perf_counter()
+        result = fn()
+        dt = (time.perf_counter() - t0) * 1e3
+        best = dt if best is None else min(best, dt)
+    return best, result
 
 
 def finite_bound(elem) -> int:

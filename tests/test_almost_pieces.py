@@ -10,7 +10,6 @@ identity-run middles and 2^60 offsets.
 """
 
 import random
-import time
 
 import pytest
 
@@ -39,6 +38,7 @@ from cofinj.core import (
     shift,
 )
 from helpers import (
+    _fastest_ms,
     ref_compose_almost,
     ref_extend_almost,
     ref_from_monotone,
@@ -240,16 +240,6 @@ def test_make_almost_rejects_non_integer_tails():
 # -- cost that does not grow with the offsets or the window width ---------------------------
 
 BIG = "seg[(-inf..0,+0),(1..+inf,+1000000000000)]"
-
-
-def _fastest_ms(fn):
-    best = None
-    for _ in range(3):
-        t0 = time.perf_counter()
-        result = fn()
-        dt = (time.perf_counter() - t0) * 1e3
-        best = dt if best is None else min(best, dt)
-    return best, result
 
 
 def test_piece_arithmetic_ignores_offsets_and_window_width():

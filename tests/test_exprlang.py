@@ -1,10 +1,12 @@
 import random
+import sys
 
 import pytest
 
 from cofinj.core import IdempotentGaps, identity, parse_element, random_element, shift
-from cofinj.exprlang import Evaluator, EvalError, ParseError, format_value, parse
+from cofinj.exprlang import Call, Evaluator, EvalError, Lit, ParseError, format_value, parse
 from cofinj import almost as am
+from cofinj import cli
 from cofinj.topology import BasicNeighborhood
 
 
@@ -39,6 +41,30 @@ def test_parse_errors_carry_position():
         parse("")
 
 
+def test_integers_past_the_digit_limit_are_parse_errors(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    huge = "9" * (limit + 1)
+    # an INT atom, a generator index and a pin, each reported where its integer starts
+    cases = [
+        (huge, 1, 1),
+        (f"shift({huge})", 1, 7),
+        (f"h(-{huge})", 1, 3),
+        (f"a+({huge})", 1, 4),
+        (f"b-( -{huge} )", 1, 5),
+        (f"nbhd(id; 0, {huge})", 1, 13),
+        (f"id *\n  a-(+{huge})", 2, 6),
+    ]
+    for text, line, col in cases:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (line, col), text[:20]
+        assert str(err.value) == f"{line}:{col}: integer past the interpreter's digit limit"
+        assert cli.main(["--eval", text]) == 2
+        assert capsys.readouterr() == ("", f"parse error: {err.value}\n")
+
+
 def test_integers_take_a_leading_plus(ev):
     assert ev.run("shift(+3)") == shift(3)
     assert ev.run("nbhd(id; +1)") == ev.run("nbhd(id; 1)")
@@ -70,6 +96,48 @@ def test_functions(ev):
         ev.run("nf(a+(0)*b+(1))")
     with pytest.raises(EvalError):
         ev.run("h(true)")
+
+
+# one statement per argument position of every function form, predicate and operator
+_WRONG_ARGUMENTS = [
+    ("shift(id)", "shift expects an integer"),
+    ("h(3)", "h expects an element, got 3"),
+    ("F_min(true)", "F_min expects an element, got true"),
+    ("nf(a+(0) * 3)", "'*' expects an element, got 3"),
+    ("nf(id)", "nf expects a product of bicyclic generators"),
+    ("in(3, id)", "in expects a neighborhood as its first argument"),
+    ("in(nbhd(id;), 3)", "in expects an element, got 3"),
+    ("sample(id)", "sample expects a neighborhood"),
+    ("nbhd(3; )", "nbhd expects an element, got 3"),
+    ("nbhd_h((id, id); 0)", "nbhd_h expects an element, got (id, id)"),
+    ("cover(3, id; )", "cover expects an element, got 3"),
+    ("cover(id, 3; )", "cover expects an element, got 3"),
+    ("audit_cover({3}, id; )", "audit_cover expects an element, got {3}"),
+    ("audit_cover(id, 3; )", "audit_cover expects an element, got 3"),
+    ("audit_inv(nbhd(id;); )", "audit_inv expects an element, got nbhd(id; )"),
+    ("audit_sep(3, id)", "audit_sep expects an element, got 3"),
+    ("audit_sep(id, false)", "audit_sep expects an element, got false"),
+    *[(f"3 {op} id", f"{op} expects an element, got 3") for op in ("~R", "~L", "~H", "~mg")],
+    *[(f"id {op} 3", f"{op} expects an element, got 3") for op in ("~R", "~L", "~H", "~mg")],
+    ("3 <= id", "'<=' expects an element, got 3"),
+    ("E{0} <= shift(1)", "'<=' expects an idempotent, got shift(1)"),
+    ("shift(1) <= E{0}", "'<=' expects an idempotent, got shift(1)"),
+    ("3 * id", "'*' expects an element, got 3"),
+    ("id * 3", "'*' expects an element, got 3"),
+    ("3^-1", "'^-1' expects an element, got 3"),
+    ("solve 3 * ? = id", "solve expects an element, got 3"),
+    ("solve ? * id = 3", "solve expects an element, got 3"),
+    # a name the parser never produces still fails after its arguments are evaluated
+    (Call("nope", [Lit(3)]), "unknown function 'nope'"),
+    (Call("nope", [Call("h", [Lit(3)])]), "h expects an element, got 3"),
+]
+
+
+@pytest.mark.parametrize("stmt, message", _WRONG_ARGUMENTS, ids=[str(s) for s, _ in _WRONG_ARGUMENTS])
+def test_each_argument_check_has_its_message(ev, stmt, message):
+    with pytest.raises(EvalError) as err:
+        ev.run(stmt) if isinstance(stmt, str) else ev.eval(stmt)
+    assert str(err.value) == message
 
 
 def test_solve_statements(ev):

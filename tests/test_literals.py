@@ -373,6 +373,8 @@ def test_integers_past_the_digit_limit_are_malformed_literals():
         (parse_element, f"seg[(-inf..{huge},+0),(1{huge}..+inf,+1)]", "malformed segment list: {text!r}"),
         (parse_element, f"seg[ (-inf..0,+0),(1..+inf,-{huge})]", "malformed segment list: {text!r}"),
         (parse_element, f"E{{0,{huge}}}", "malformed gap list: {text!r}"),
+        (parse_element, f"shift({huge})", "not an element literal: {text!r}"),
+        (parse_element, f" shift( -{huge} ) ", "not an element literal: {text!r}"),
         (am.parse_almost, f"am[d=0,L=0,u={huge},R=0;]", "not an almost-monotone literal: {text!r}"),
         (am.parse_almost, f"am[d=0,L=0,u=3,R=-{huge}; 1->1]", "not an almost-monotone literal: {text!r}"),
         (am.parse_almost, f"am[d=0,L=0,u=3,R=0; {entry}]", "malformed middle entry: {entry!r}"),

@@ -11,7 +11,6 @@ grow with the widths of the pieces.
 import copy
 import pickle
 import random
-import time
 from itertools import starmap
 
 import pytest
@@ -37,7 +36,7 @@ from cofinj.core import (
 from cofinj.green import solve_left, solve_right
 from cofinj.topology import BasicNeighborhood, sample_member
 
-from helpers import _pieces_as_repr, assert_pointwise, breaks, pull_back  # noqa: F401
+from helpers import _fastest_ms, _pieces_as_repr, assert_pointwise, breaks, pull_back  # noqa: F401
 
 BIG = 2**60
 
@@ -174,16 +173,6 @@ def test_segments_is_a_read_only_view():
 def _wide_unit_product(width):
     swap = am.unit_recompose(am.UnitDecomposition(((-1, -2), (-2, -1)), 0))
     return swap * parse_element(f"seg[(-inf..0,+0),(1..{width},+1),({width + 1}..+inf,+2)]")
-
-
-def _fastest_ms(fn):
-    best, out = None, None
-    for _ in range(3):
-        t0 = time.perf_counter()
-        out = fn()
-        ms = (time.perf_counter() - t0) * 1e3
-        best = ms if best is None else min(best, ms)
-    return best, out
 
 
 def test_wide_copies_and_pickles_cost_what_the_pieces_cost():

@@ -63,6 +63,10 @@ def test_member_and_separate_check_their_elements():
             with pytest.raises(InvalidElementError) as err:
                 test()
             assert str(err.value) == f"member must be an element, got {v!r}"
+        for test in (lambda: member(v, identity()), lambda: member(v, v)):
+            with pytest.raises(InvalidElementError) as err:
+                test()
+            assert str(err.value) == f"member's nbhd must be a neighborhood, got {v!r}"
         for args in ((identity(), v), (v, identity()), (v, v)):
             with pytest.raises(InvalidElementError) as err:
                 separate(*args)
