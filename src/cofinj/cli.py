@@ -129,10 +129,6 @@ def _emit(text: str, out_path: str | None):
         print(text, end="" if text.endswith("\n") else "\n")
 
 
-def _run_statement(ev, line: str, fmt: str) -> str:
-    return render_value(ev.run(line), fmt)
-
-
 def repl(ev, fmt: str) -> int:
     while True:
         try:
@@ -146,10 +142,10 @@ def repl(ev, fmt: str) -> int:
         if line in ("quit", "exit"):
             return 0
         try:
-            print(_run_statement(ev, line, fmt))
+            print(render_value(ev.run(line), fmt))
         except ParseError as e:
             print(f"parse error: {e}", file=sys.stderr)
-        except (EvalError, ValueError) as e:
+        except ValueError as e:
             print(f"error: {e}", file=sys.stderr)
 
 
@@ -180,22 +176,30 @@ def main(argv=None) -> int:
             _emit(export_eggbox(g, s), args.out)
             return 0
         if args.eval is not None:
-            _emit(_run_statement(ev, args.eval, args.format) + "\n", args.out)
+            _emit(render_value(ev.run(args.eval), args.format) + "\n", args.out)
             return 0
         if args.script is not None:
             with open(args.script) as fh:
-                lines = [l.strip() for l in fh]
+                lines = list(fh)
             results = []
-            for line in lines:
-                if not line or line.startswith("#"):
-                    continue
-                results.append(_run_statement(ev, line, args.format))
+            start = 0  # the offset in the file of the current line
+            for number, raw in enumerate(lines, 1):
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    try:
+                        results.append(render_value(ev.run(line), args.format))
+                    except ParseError as e:
+                        # a statement is one line: report its error at its place in the file
+                        indent = len(raw) - len(raw.lstrip())
+                        raise ParseError(e.message, start + indent + e.pos, number, indent + e.col,
+                                         e.expected) from None
+                start += len(raw)
             _emit("".join(r + "\n" for r in results), args.out)
             return 0
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except (EvalError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -39,6 +39,7 @@ MAX_NESTING = 100
 
 class ParseError(ValueError):
     def __init__(self, message, pos, line, col, expected=()):
+        self.message = message
         self.pos = pos
         self.line = line
         self.col = col
@@ -59,8 +60,7 @@ _TOKEN_SPEC = [
     ("EGAPS", r"E\{[^{}]*\}"),
     ("GEN", r"[ab][+-]\(\s*[+-]?\d+\s*\)"),
     ("INV", r"\^-1"),
-    ("PRED", r"~(?:mg|R|L|H)"),
-    ("LEQ", r"<="),
+    ("PRED", r"~(?:mg|R|L|H)|<="),
     ("NAME", r"[A-Za-z_][A-Za-z_0-9]*"),
     ("INT", r"[+-]?\d+"),
     ("OP", r"[*(),;={}?]"),
@@ -127,13 +127,6 @@ class Inv:
 
 
 @dataclass
-class Pred:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass
 class Call:
     name: str
     args: list
@@ -176,6 +169,9 @@ _FUNCTIONS = {
     "audit_inv": (1, True),
     "audit_sep": (2, False),
 }
+
+# the relation predicates; each parses as a two-argument call named by its operator, as '<=' does
+_RELATIONS = ("~R", "~L", "~H", "~mg")
 
 _GEN_RE = re.compile(r"([ab])([+-])\(\s*([+-]?\d+)\s*\)\Z")
 
@@ -229,10 +225,9 @@ class _Parser:
     def parse_cmp(self):
         left = self.parse_prod()
         t = self.peek()
-        if t.kind in ("PRED", "LEQ"):
+        if t.kind == "PRED":
             self.next()
-            right = self.parse_prod()
-            return Pred(t.text, left, right)
+            return Call(t.text, [left, self.parse_prod()])
         return left
 
     def parse_prod(self):
@@ -385,16 +380,12 @@ class Evaluator:
                 out = _almost.canonicalize(_need_element(out, "'*'") * _need_element(v, "'*'"))
             return out
         if isinstance(node, Inv):
-            # a '^-1' chain is a loop, with no Python frame per inversion
+            # inversion is an involution, so a '^-1' chain inverts once when its length is odd
             chain = 0
             while isinstance(node, Inv):
                 node, chain = node.item, chain + 1
-            v = self._eval(node)
-            for _ in range(chain):
-                v = _almost.canonicalize(_need_element(v, "'^-1'").inverse())
-            return v
-        if isinstance(node, Pred):
-            return self._pred(node)
+            v = _need_element(self._eval(node), "'^-1'")
+            return _almost.canonicalize(v.inverse() if chain % 2 else v)
         if isinstance(node, Call):
             return self._call(node)
         if isinstance(node, Pair):
@@ -407,34 +398,23 @@ class Evaluator:
             raise EvalError("'?' outside a solve statement")
         raise EvalError(f"cannot evaluate {node!r}")
 
-    def _pred(self, node):
-        a = self._eval(node.left)
-        b = self._eval(node.right)
-        if node.op == "<=":
-            _need_idempotent(a, "'<='")
-            _need_idempotent(b, "'<='")
-            # e <= f exactly when every gap of f is a gap of e
-            return _runs_within(b._dom_runs(), a._dom_runs())
-        _need_element(a, node.op)
-        _need_element(b, node.op)
-        if node.op == "~R":
-            return _green.r_equiv(a, b)
-        if node.op == "~L":
-            return _green.l_equiv(a, b)
-        if node.op == "~H":
-            return _green.h_equiv(a, b)
-        return _congruence.mgc_equiv(a, b)
-
     def _call(self, node):
+        """Evaluate a named form or a predicate (a two-argument call named by its operator)."""
         name = node.name
-        args = [self._eval(a) for a in node.args]
         if name == "nf":
+            # nf reads its word off the syntax tree, so the product is never built
             return _word_normal_form(node.args[0])
+        args = [self._eval(a) for a in node.args]
         if name == "shift":
             if not _is_int(args[0]):
                 raise EvalError("shift expects an integer")
             return shift(args[0])
-        if name not in _FUNCTIONS:
+        if name == "<=":
+            for v in args:
+                _need_idempotent(v, "'<='")
+            # e <= f exactly when every gap of f is a gap of e
+            return _runs_within(args[1]._dom_runs(), args[0]._dom_runs())
+        if name not in _FUNCTIONS and name not in _RELATIONS:
             raise EvalError(f"unknown function {name!r}")
         if name in ("in", "sample"):
             nb = args.pop(0)
@@ -443,6 +423,14 @@ class Evaluator:
                                 else "sample expects a neighborhood")
         for v in args:
             _need_element(v, name)
+        if name == "~R":
+            return _green.r_equiv(*args)
+        if name == "~L":
+            return _green.l_equiv(*args)
+        if name == "~H":
+            return _green.h_equiv(*args)
+        if name == "~mg":
+            return _congruence.mgc_equiv(*args)
         if name == "h":
             return tuple(_congruence.mgc_signature(*args))
         if name == "F_min":

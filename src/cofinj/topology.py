@@ -242,11 +242,10 @@ def sample_member(nbhd: BasicNeighborhood, rng: random.Random):
     geometric number of times near their ends (always keeping the pins), then
     give each run left one translation, zone by zone between consecutive pins
     (see ``_w_monotone_plan``).  A draw costs O(pieces + pins + cuts), at any
-    width, and every member of U_c(F) is a possible draw, so the members the
-    earlier window sampler could draw are all still reachable.  W flavor
-    around an almost-monotone center: keep a random cofinite subset of the
-    window [-w, w] around the pins and the finite piece ends, and redraw its
-    values; zones between two pins may be reshuffled non-monotonically.
+    width, and every member of U_c(F) is a possible draw.  W flavor around an
+    almost-monotone center: keep a random cofinite subset of the window
+    [-w, w] around the pins and the finite piece ends, and redraw its values;
+    zones between two pins may be reshuffled non-monotonically.
     H flavor: conjugate the center by finite permutations of its domain and
     range fixing the pins and their images.
 

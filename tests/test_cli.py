@@ -27,6 +27,20 @@ def test_eval_eval_error_exit_code(capsys):
     assert rc == 1 and "error" in err
 
 
+# (argv, (exit code, stdout, stderr))
+ONE_SHOT = [
+    (["--eval", "id $"], (2, "", "parse error: 1:4: unexpected character '$'\n")),
+    (["--eval", "solve ? = id"], (1, "", "error: the known side of a solve statement is empty\n")),
+    (["--eval", "{true, false}"], (0, "{false, true}\n", "")),
+    (["--eggbox", "1,9"], (1, "", "error: shift_window must be in [0, 8]\n")),
+]
+
+
+@pytest.mark.parametrize("argv, want", ONE_SHOT, ids=[" ".join(argv) for argv, _ in ONE_SHOT])
+def test_one_shot_output_and_exit_code(capsys, argv, want):
+    assert run_cli(capsys, *argv) == want
+
+
 def test_json_format_monotone(capsys):
     rc, out, _ = run_cli(capsys, "--eval", "seg[(-inf..0,+0),(2..+inf,+1)]", "--format", "json")
     assert rc == 0
@@ -92,6 +106,17 @@ def test_script_mode(tmp_path, capsys):
     assert out == "shift(5)\n{E{0}, id}\n"
 
 
+def test_script_parse_error_gives_the_file_position(tmp_path, capsys):
+    script = tmp_path / "batch.cfj"
+    script.write_text("id\nshift(1)\n\nid *")
+    rc, out, err = run_cli(capsys, "--script", str(script))
+    assert (rc, out) == (2, "")
+    assert err.startswith("parse error: 4:5: got 'end of input'")
+    # leading blanks are stripped from the statement but still count in the column
+    script.write_text("# comment\n  id $\n")
+    assert run_cli(capsys, "--script", str(script)) == (2, "", "parse error: 2:6: unexpected character '$'\n")
+
+
 def test_script_missing_file(capsys):
     rc, _, err = run_cli(capsys, "--script", "/nonexistent/x.cfj")
     assert rc == 1
@@ -120,6 +145,19 @@ def test_repl_smoke(capsys, monkeypatch):
     assert rc == 0
     assert "shift(3)" in out.out
     assert "parse error" in out.err and "error:" in out.err
+
+
+def test_repl_skips_blank_and_comment_lines_and_exits_on_eof(capsys, monkeypatch):
+    lines = iter(["", "   ", "# a comment"])
+
+    def read(prompt=""):
+        for line in lines:
+            return line
+        raise EOFError
+
+    monkeypatch.setattr("builtins.input", read)
+    assert cli.main([]) == 0
+    assert capsys.readouterr() == ("\n", "")
 
 
 DEEP = ["(" * 1000 + "id" + ")" * 1000, "{" * 1000 + "id" + "}" * 1000, "shift(" * 1000 + "1" + ")" * 1000]

@@ -98,12 +98,22 @@ def test_functions(ev):
         ev.run("h(true)")
 
 
+def test_nf_reads_its_word_without_building_generators(ev, monkeypatch):
+    from cofinj import bicyclic
+
+    calls = []
+    gen = bicyclic.gen
+    monkeypatch.setattr(bicyclic, "gen", lambda *args: calls.append(args) or gen(*args))
+    assert ev.run("nf(a+(0)*b+(0))") == (0, 0)
+    assert calls == []
+
+
 # one statement per argument position of every function form, predicate and operator
 _WRONG_ARGUMENTS = [
     ("shift(id)", "shift expects an integer"),
     ("h(3)", "h expects an element, got 3"),
     ("F_min(true)", "F_min expects an element, got true"),
-    ("nf(a+(0) * 3)", "'*' expects an element, got 3"),
+    ("nf(a+(0) * 3)", "nf expects a product of bicyclic generators"),
     ("nf(id)", "nf expects a product of bicyclic generators"),
     ("in(3, id)", "in expects a neighborhood as its first argument"),
     ("in(nbhd(id;), 3)", "in expects an element, got 3"),

@@ -220,6 +220,11 @@ def test_monotone_candidates_equal_normalized_raw():
     assert total > 500
 
 
+def test_solve_rejects_an_unknown_monoid():
+    with pytest.raises(ValueError, match="^unknown monoid 'x'$"):
+        solve_right(identity(), identity(), within="x")
+
+
 def test_solve_left_duality():
     rng = random.Random(7)
     for _ in range(60):

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from cofinj import almost as am
 from cofinj.congruence import mgc_signature
 from cofinj.core import NEG_INF, POS_INF, MonotoneElement, parse_element
-from cofinj.exprlang import Evaluator, Lit, Pred, format_value
+from cofinj.exprlang import Call, Evaluator, Lit, format_value
 from cofinj.green import l_equiv, r_equiv, solve_left, solve_right
 
 from helpers import _pieces_as_repr, assert_pointwise, breaks, image_breaks, pull_back  # noqa: F401
@@ -119,7 +119,7 @@ def test_inverse_laws(a):
 
 def _leq(e, f):
     """The '<=' of the expression language on two idempotents."""
-    return Evaluator().eval(Pred("<=", Lit(e), Lit(f)))
+    return Evaluator().eval(Call("<=", [Lit(e), Lit(f)]))
 
 
 @LAWS
