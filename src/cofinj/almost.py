@@ -47,7 +47,9 @@ from .core import (
     IdempotentGaps,
     InvalidElementError,
     MonotoneElement,
+    _gaps_between,
     _graft,
+    _image_gaps,
     _inverted,
     _is_int,
     _merged,
@@ -321,11 +323,14 @@ def monotonizers(elem):
 
     left restricts the domain to its monotone part, right restricts the image
     accordingly, and the third is their meet; composing on the matching side
-    always lands back in the monotone monoid.
+    always lands back in the monotone monoid.  The gap runs are read off the
+    pieces that minimal_exceptions keeps, between their domains and between
+    their images, so the cost does not grow with the gap widths.
     """
-    removed = _removed_pieces(elem)
-    left = IdempotentGaps(elem.dom_gaps() | _run_points([p[:2] for p in removed]))
-    right = IdempotentGaps(elem.ran_gaps() | _run_points([(lo + o, hi + o) for lo, hi, o in removed]))
+    removed = set(_removed_pieces(elem))
+    kept = [p for p in elem.pieces if p not in removed]
+    left = IdempotentGaps._of_runs(_gaps_between(kept))
+    right = IdempotentGaps._of_runs(_image_gaps(kept))
     return left, right, left.meet(right)
 
 

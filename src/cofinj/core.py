@@ -26,11 +26,13 @@ comparisons and never mixed into finite arithmetic.
 The idempotents of this monoid are the identity maps of cofinite subsets;
 they are encoded by their finite gap set (``IdempotentGaps``), under which
 the idempotent semilattice is the semilattice of finite subsets of Z with
-union.  Below the public API a gap set is its sorted maximal (lo, hi) runs:
-collapses, idempotents and elements with given gaps are built from runs, so
-their cost does not grow with the gap widths.  Points appear only where the
-result is a point set: ``dom_gaps()``, ``ran_gaps()``, ``IdempotentGaps``
-and the ``E{...}`` text.
+union.  A gap set is stored and read as its sorted maximal (lo, hi) runs:
+``IdempotentGaps`` holds runs, and collapses, idempotents and elements with
+given gaps are built from runs, so their cost does not grow with the gap
+widths.  Points appear only where the input or the result is a point set:
+``dom_gaps()``, ``ran_gaps()``, ``IdempotentGaps.gaps``, the point
+constructors ``IdempotentGaps(points)``, ``collapse_element`` and
+``element_from_gaps``, and the ``E{...}`` text.
 
 Every ``*`` is one pass of the segment kernel (:mod:`cofinj._kernel`), which
 merges as it emits, and one ``tuple`` of its output.  Outside data pays a
@@ -43,7 +45,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import accumulate, chain, filterfalse, starmap
+from itertools import chain, filterfalse, starmap
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -89,7 +91,7 @@ def _check_segment(lo, hi, offset):
 
 
 def _check_gaps(gaps) -> frozenset:
-    """Outside gap positions as a frozenset, every one an integer.
+    """Outside gap positions as a frozenset of plain ints.
 
     A set of plain ints passes in one C-level pass over the types; anything
     else is checked point by point, and the first point that is not an
@@ -102,6 +104,8 @@ def _check_gaps(gaps) -> frozenset:
     if gs and not {*map(type, gs)} <= {int}:
         for g in filterfalse(_is_int, gs):
             _check_int(g, "gap positions must be integers")
+        # int subclasses such as IntEnum go on as their values
+        gs = frozenset(map(int, gs))
     return gs
 
 
@@ -225,7 +229,7 @@ class _PieceMap:
 
     def _ran_runs(self) -> list:
         """The range gaps as sorted maximal (lo, hi) runs, read off the piece images."""
-        return _gaps_between(sorted([(lo + o, hi + o) for lo, hi, o in self.pieces]))
+        return _image_gaps(self.pieces)
 
     def dom_gaps(self) -> frozenset:
         """Every integer outside the domain; its size grows with the gap widths."""
@@ -254,6 +258,11 @@ def _gaps_between(intervals) -> list:
     return [(s[1] + 1, t[0] - 1) for s, t in zip(intervals, intervals[1:]) if s[1] + 1 < t[0]]
 
 
+def _image_gaps(pieces) -> list:
+    """The maximal (lo, hi) runs of integers outside the images of (lo, hi, offset) pieces with disjoint images."""
+    return _gaps_between(sorted([(lo + o, hi + o) for lo, hi, o in pieces]))
+
+
 def _run_ints(runs):
     """The points of sorted (lo, hi) runs, in increasing order."""
     return chain.from_iterable([range(lo, hi + 1) for lo, hi in runs])
@@ -263,6 +272,11 @@ def _run_points(runs) -> frozenset:
     return frozenset(_run_ints(runs))
 
 
+def _run_size(runs) -> int:
+    """The number of points in disjoint (lo, hi) runs."""
+    return sum([hi - lo + 1 for lo, hi in runs])
+
+
 def _inverted(pieces):
     """The inverse map's pieces, in the order of the images of ``pieces``."""
     return [(lo + o, hi + o, -o) for lo, hi, o in pieces]
@@ -270,8 +284,15 @@ def _inverted(pieces):
 
 def _translation_off(runs, k: int = 0) -> list:
     """The pieces of x -> x + k off (lo, hi) runs sorted by lo, which may touch or overlap."""
-    covered = zip([lo for lo, _ in runs], accumulate([hi for _, hi in runs], max))
-    return [(lo, hi, k) for lo, hi in _gaps_between([(NEG_INF, NEG_INF), *covered, (POS_INF, POS_INF)])]
+    pieces = []
+    covered = NEG_INF  # the largest point the runs so far cover
+    for lo, hi in runs:
+        if covered + 1 < lo:
+            pieces.append((covered + 1, lo - 1, k))
+        if hi > covered:
+            covered = hi
+    pieces.append((covered + 1, POS_INF, k))
+    return pieces
 
 
 def _merged(pieces) -> list:
@@ -567,42 +588,81 @@ class IdempotentGaps:
     semilattice meet (= product of the idempotents) is gap-set union, so
     this class is the free semilattice of finite subsets of Z in disguise.
 
-    The gaps are checked by ``_check_gaps``: a set of plain ints passes in
-    one C-level pass over its types, anything else is checked point by
-    point, and input that is not an iterable of hashable items is an
-    ``InvalidElementError`` too.
+    The gap set is stored as ``runs``, its sorted maximal (lo, hi) runs of
+    plain ints, as ``_PieceMap._dom_runs()`` reads them off an element, so
+    ``==``, ``hash``, the order, the meet, ``covers`` and the conversions to
+    and from elements cost O(runs), whatever the gap widths.  Only ``gaps``
+    and the ``E{...}`` text list the points.
+
+    ``IdempotentGaps(points)`` checks its points by ``_check_gaps``: a set
+    of plain ints passes in one C-level pass over its types, anything else
+    is checked point by point, and input that is not an iterable of hashable
+    items is an ``InvalidElementError`` too.  Runs built inside the library,
+    and those read back from a pickle, pass the O(runs) check of
+    :meth:`_of_runs`.
     """
 
-    __slots__ = ("gaps",)
+    __slots__ = ("runs",)
 
     def __init__(self, gaps: Iterable[int] = ()):
-        object.__setattr__(self, "gaps", _check_gaps(gaps))
+        gs = _check_gaps(gaps)
+        pts = sorted(gs)
+        # a run starts at a point whose predecessor is no gap and ends at one whose successor is none
+        starts = [x for x in pts if x - 1 not in gs]
+        object.__setattr__(self, "runs", tuple(zip(starts, [x for x in pts if x + 1 not in gs])))
+
+    @classmethod
+    def _of_runs(cls, runs) -> "IdempotentGaps":
+        """The idempotent off sorted maximal (lo, hi) gap runs, checked in O(runs)."""
+        try:
+            runs = tuple(runs)
+        except TypeError:
+            raise InvalidElementError(f"gap runs must be an iterable of (lo, hi) pairs, got {runs!r}") from None
+        prev = NEG_INF
+        for run in runs:
+            if not (
+                type(run) is tuple
+                and len(run) == 2
+                and type(run[0]) is int
+                and type(run[1]) is int
+                and prev + 1 < run[0] <= run[1]
+            ):
+                raise InvalidElementError(f"gap runs must be sorted maximal (lo, hi) pairs of integers, got {run!r}")
+            prev = run[1]
+        self = object.__new__(cls)
+        object.__setattr__(self, "runs", runs)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("IdempotentGaps is immutable")
 
     def __reduce__(self):
-        return (type(self), (self.gaps,))
+        # pickles carry the runs, checked when read back; those written with the point set load through __init__
+        return (IdempotentGaps._of_runs, (self.runs,))
+
+    @property
+    def gaps(self) -> frozenset:
+        """Every gap point, built on each read; its size grows with the gap widths."""
+        return _run_points(self.runs)
 
     @classmethod
     def from_element(cls, elem: MonotoneElement) -> "IdempotentGaps":
         if not elem.is_idempotent():
             raise InvalidElementError("element is not an idempotent")
-        return cls(elem.dom_gaps())
+        return cls._of_runs(elem._dom_runs())
 
     def to_element(self) -> MonotoneElement:
-        # the collapse of the same gaps has the same domain; zero its offsets
-        segs = _collapse_cached(tuple(sorted(self.gaps))).pieces
-        return MonotoneElement._trusted([(lo, hi, 0) for lo, hi, _ in segs])
+        return _idempotent(self.runs)
 
     def leq(self, other: "IdempotentGaps") -> bool:
         """Natural partial order: self <= other iff dom(self) is contained in dom(other)."""
-        return other.gaps <= self.gaps
+        return _runs_within(other.runs, self.runs)
 
     __le__ = leq
 
     def meet(self, other: "IdempotentGaps") -> "IdempotentGaps":
-        return IdempotentGaps(self.gaps | other.gaps)
+        # the gaps between the pieces of the identity off both run lists are the runs of their union
+        return IdempotentGaps._of_runs(_gaps_between(_translation_off(sorted(self.runs + other.runs))))
 
     def __mul__(self, other):
         if isinstance(other, IdempotentGaps):
@@ -611,19 +671,18 @@ class IdempotentGaps:
 
     def covers(self, other: "IdempotentGaps") -> bool:
         """True when other sits directly below self: one extra gap, nothing between."""
-        extra = other.gaps - self.gaps
-        return self.gaps <= other.gaps and len(extra) == 1
+        return _run_size(other.runs) - _run_size(self.runs) == 1 and _runs_within(self.runs, other.runs)
 
     def __eq__(self, other):
         if isinstance(other, IdempotentGaps):
-            return self.gaps == other.gaps
+            return self.runs == other.runs
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.gaps)
+        return hash(self.runs)
 
     def to_text(self) -> str:
-        return "E{" + ",".join(str(g) for g in sorted(self.gaps)) + "}"
+        return "E{" + ",".join(map(str, _run_ints(self.runs))) + "}"
 
     def __repr__(self):
         return self.to_text()
@@ -726,7 +785,9 @@ def _parse_element_by_regex(text: str) -> MonotoneElement:
             gaps = [int(p) for p in body.split(",")] if body else []
         except ValueError:
             raise InvalidElementError(f"malformed gap list: {text!r}") from None
-        return IdempotentGaps(gaps).to_element()
+        # point input: the collapse cache is keyed on points, and zeroing its offsets leaves the idempotent
+        segs = _collapse_cached(tuple(sorted(set(gaps)))).pieces
+        return MonotoneElement._trusted([(lo, hi, 0) for lo, hi, _ in segs])
     m = _SEG_RE.match(s)
     if m:
         body = m.group(1)

@@ -23,7 +23,6 @@ from .core import (
     IdempotentGaps,
     InvalidElementError,
     MonotoneElement,
-    element_from_gaps,
     _from_runs,
     _merged,
     _overlaps,
@@ -55,7 +54,7 @@ def connect_idempotents(eps: IdempotentGaps, phi: IdempotentGaps, i: int) -> Mon
     phi's gaps; distinct i give distinct elements, so every idempotent pair
     is connected by infinitely many of these.
     """
-    return element_from_gaps(eps.gaps, phi.gaps, i)
+    return _from_runs(eps.runs, phi.runs, i)
 
 
 def factorize_simple(gamma: MonotoneElement, phi: MonotoneElement):

@@ -66,8 +66,9 @@ from . import almost as _almost
 class BasicNeighborhood:
     """U_center(pins) when flavor is 'W', W_center(pins) when flavor is 'H'."""
 
+    # _runs holds the center's domain gap runs and, for 'H', its range gap runs, which member reads;
     # _draw holds the draw function of the neighborhood's sampling plan once sample_member builds it
-    __slots__ = ("center", "pins", "flavor", "_draw")
+    __slots__ = ("center", "pins", "flavor", "_runs", "_draw")
 
     def __init__(self, center, pins, flavor: str = "W"):
         if flavor not in ("W", "H"):
@@ -76,6 +77,7 @@ class BasicNeighborhood:
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "pins", _checked_pins(pins, center, "the center's domain"))
         object.__setattr__(self, "flavor", flavor)
+        object.__setattr__(self, "_runs", (center._dom_runs(), center._ran_runs() if flavor == "H" else None))
         object.__setattr__(self, "_draw", None)
 
     def __setattr__(self, name, value):
@@ -133,11 +135,12 @@ def member(nbhd: BasicNeighborhood, elem) -> bool:
         raise InvalidElementError(f"member's nbhd must be a neighborhood, got {nbhd!r}")
     _check_element(elem, "member")
     c = nbhd.center
+    dom, ran = nbhd._runs
     if nbhd.flavor == "W":
-        if not _runs_within(c._dom_runs(), elem._dom_runs()):
+        if not _runs_within(dom, elem._dom_runs()):
             return False
     else:
-        if c._dom_runs() != elem._dom_runs() or c._ran_runs() != elem._ran_runs():
+        if dom != elem._dom_runs() or ran != elem._ran_runs():
             return False
     return all(elem(x) == c(x) for x in nbhd.pins)
 

@@ -8,17 +8,23 @@ almost-monotone and mixed pairs, including 70-segment elements, 2^60
 offsets and pairs that are the same map in two representations.  The
 builders over runs (collapses, idempotents, elements with given gaps), the
 monotone solver's cells and the sampler's extent are checked the same way
-against the point loops in helpers.
+against the point loops in helpers.  ``IdempotentGaps`` stores runs: each of
+its methods, ``connect_idempotents`` and ``monotonizers`` are checked against
+point sets, and at a 10^12-wide run at 2^60.
 """
 
 import contextlib
 import io
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cofinj import almost as am
 from cofinj import cli
+from cofinj.almost import minimal_exceptions, monotonizers
 from cofinj.congruence import signature_preimage, witness_idempotent
 from cofinj.core import (
     IdempotentGaps,
@@ -36,6 +42,7 @@ from cofinj.core import (
     shift,
 )
 from cofinj.green import (
+    connect_idempotents,
     factorize_simple,
     h_class_members,
     h_equiv,
@@ -49,6 +56,7 @@ from cofinj.topology import BasicNeighborhood, _extent, inverse_cover, member, p
 from helpers import (
     _fastest_ms,
     expand_runs,
+    point_monotonizers,
     ref_collapse,
     ref_dom_within,
     ref_extent,
@@ -362,3 +370,135 @@ def test_h_draws_ignore_gap_width_after_the_plan():
         assert member(nb, d)
         moved += am.canonicalize(d) != c
     assert moved > 0
+
+
+# -- the idempotent semilattice on runs -------------------------------------------------
+
+
+def _point_runs(points):
+    """The sorted maximal runs of a point set, one point at a time."""
+    runs = []
+    for x in sorted(points):
+        if runs and runs[-1][1] + 1 == x:
+            runs[-1] = (runs[-1][0], x)
+        else:
+            runs.append((x, x))
+    return tuple(runs)
+
+
+# up to 8 (start, length) runs in [-50, 50]; they may touch or overlap, so the union has at most 8 maximal runs
+RUN_SETS = st.lists(st.tuples(st.integers(-50, 50), st.integers(0, 12)), max_size=8).map(
+    lambda runs: frozenset(x for lo, n in runs for x in range(lo, min(lo + n, 50) + 1))
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(RUN_SETS, RUN_SETS, st.integers(-50, 50), st.integers(-3, 3), st.integers(0, 2**32))
+def test_idempotents_match_point_sets(pe, pf, extra, i, seed):
+    e, f = IdempotentGaps(pe), IdempotentGaps(pf)
+    below = pe | {extra}
+    g = IdempotentGaps(below)
+    for ident, pts in ((e, pe), (f, pf), (g, below)):
+        assert ident.runs == _point_runs(pts)
+        assert ident.gaps == pts
+        assert ident.to_text() == "E{" + ",".join(map(str, sorted(pts))) + "}"
+        assert ident.to_element() == ref_idempotent(pts)
+        assert IdempotentGaps.from_element(ref_idempotent(pts)) == ident
+        assert IdempotentGaps.from_element(am.from_monotone(ref_idempotent(pts))) == ident
+        twin = IdempotentGaps._of_runs(_point_runs(pts))
+        assert twin == ident and hash(twin) == hash(ident)
+    for x, px in ((e, pe), (f, pf), (g, below)):
+        for y, py in ((e, pe), (f, pf), (g, below)):
+            assert (x == y) == (px == py)
+            assert x != y or hash(x) == hash(y)
+            assert x.leq(y) == (py <= px)
+            assert x.meet(y).gaps == px | py
+            assert x.meet(y) == IdempotentGaps(px | py)
+            assert x.covers(y) == (px <= py and len(py - px) == 1)
+            assert connect_idempotents(x, y, i) == ref_from_gaps(px, py, i)
+    # an almost-monotone element whose gap runs are pe and pf, moved about by a unit on either side
+    rng = random.Random(seed)
+    m = _from_runs(_point_runs(pe), _point_runs(pf), i)
+    for a in (am.compose_almost(am.random_unit(rng), m), am.compose_almost(m, am.random_unit(rng)), m):
+        got, want = monotonizers(a), point_monotonizers(a)
+        assert [x.gaps for x in got] == [x.gaps for x in want], a
+        assert got == want
+
+
+def test_idempotents_ignore_gap_width():
+    """A 10^12-wide gap run at 2^60 costs what a narrow one costs: under 1 ms, fastest of three."""
+    big = 10**12
+    lo, hi = WIDE, WIDE + big
+    eps = parse_element(f"seg[(-inf..{lo - 1},+0),({hi + 1}..+inf,+0)]")
+    e = IdempotentGaps._of_runs(((lo, hi),))
+    swap = am.unit_recompose(am.UnitDecomposition(((-1, -2), (-2, -1)), 0))
+    a = am.compose_almost(swap, _from_runs([(lo, hi)], [(2 * WIDE, 2 * WIDE + big)], WIDE))
+    cases = [
+        (lambda: IdempotentGaps.from_element(eps).runs, ((lo, hi),)),
+        (lambda: IdempotentGaps.from_element(am.from_monotone(eps)).runs, ((lo, hi),)),
+        (lambda: IdempotentGaps._of_runs(((lo - 5, lo - 5), (lo, hi))).leq(e), True),
+        (lambda: e.leq(IdempotentGaps._of_runs(((lo - 5, lo - 5), (lo, hi)))), False),
+        (lambda: e.meet(IdempotentGaps._of_runs(((lo - 5, lo - 1), (hi + 2, hi + 2)))).runs,
+         ((lo - 5, hi), (hi + 2, hi + 2))),
+        (lambda: e.covers(IdempotentGaps._of_runs(((lo, hi + 1),))), True),
+        (lambda: e.covers(IdempotentGaps._of_runs(((-WIDE, -WIDE), (lo, hi)))), True),
+        (lambda: e.covers(IdempotentGaps._of_runs(((lo, hi + 2),))), False),
+        (lambda: e.covers(IdempotentGaps._of_runs(((lo + 1, hi + 1),))), False),
+        (lambda: e.to_element().pieces, eps.pieces),
+        (lambda: e == IdempotentGaps.from_element(eps) and hash(e) == hash(IdempotentGaps.from_element(eps)), True),
+    ]
+    for fn, want in cases:
+        ms, got = _fastest_ms(fn)
+        assert got == want
+        assert ms < 1, f"{ms:.3f} ms"
+    far = IdempotentGaps._of_runs(((-WIDE - 2 * big, -WIDE),))
+    ms, c = _fastest_ms(lambda: connect_idempotents(e, far, WIDE))
+    assert ms < 1, f"{ms:.3f} ms"
+    # the range has big more gaps than the domain, so the right tail moves big further
+    assert c._dom_runs() == [(lo, hi)] and c._ran_runs() == [(-WIDE - 2 * big, -WIDE)]
+    assert (c.left_offset, c.right_offset) == (WIDE, WIDE + big)
+    ms, got = _fastest_ms(lambda: monotonizers(a))
+    assert ms < 1, f"{ms:.3f} ms"
+    assert minimal_exceptions(a) == frozenset({-2})
+    left, right, both = got
+    assert left.runs == ((-2, -2), (lo, hi))
+    assert right.runs == ((lo - 1, lo - 1), (2 * WIDE, 2 * WIDE + big))
+    assert both.runs == ((-2, -2), (lo - 1, hi), (2 * WIDE, 2 * WIDE + big))
+
+
+class _Forged:
+    """Pickles as a call of ``fn`` on ``args``."""
+
+    def __init__(self, fn, args):
+        self.fn, self.args = fn, args
+
+    def __reduce__(self):
+        return (self.fn, self.args)
+
+
+# pickled when IdempotentGaps stored its point set: IdempotentGaps({0, 3, 4}), protocol 2
+OLD_IDEMPOTENT = (
+    b"\x80\x02ccofinj.core\nIdempotentGaps\nq\x00c__builtin__\nfrozenset\nq\x01]q\x02(K\x00K\x03K\x04e"
+    b"\x85q\x03Rq\x04\x85q\x05Rq\x06."
+)
+
+
+def test_old_idempotent_pickles_still_load():
+    e = pickle.loads(OLD_IDEMPOTENT)
+    assert e == IdempotentGaps({0, 3, 4}) and hash(e) == hash(IdempotentGaps({0, 3, 4}))
+    assert e.runs == ((0, 0), (3, 4))
+
+
+@pytest.mark.parametrize(
+    "runs",
+    [5, ((0, 1), (2, 3)), ((0, 1), (1, 3)), ((3, 4), (0, 1)), ((1, 0),), ((0.0, 1),), ((True, 1),), ((0, 1, 2),), [[0, 1]]],
+    ids=["not runs", "touching", "overlapping", "unsorted", "empty run", "float", "bool", "triple", "list"],
+)
+def test_pickled_runs_are_checked(runs):
+    e = IdempotentGaps({-3, 0, 1, 2, WIDE})
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        twin = pickle.loads(pickle.dumps(e, proto))
+        assert twin == e and hash(twin) == hash(e) and type(twin.runs) is tuple
+    assert len(pickle.dumps(IdempotentGaps._of_runs(((0, 10**12),)))) < 200
+    with pytest.raises(InvalidElementError):
+        pickle.loads(pickle.dumps(_Forged(IdempotentGaps._of_runs, (runs,))))
