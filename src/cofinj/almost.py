@@ -35,7 +35,6 @@ wrapped by :meth:`AlmostMonotoneElement._trusted` without a second check.
 from __future__ import annotations
 
 import random
-import re
 from itertools import chain
 from operator import eq
 from typing import NamedTuple
@@ -47,11 +46,13 @@ from .core import (
     IdempotentGaps,
     InvalidElementError,
     MonotoneElement,
+    _bare,
     _gaps_between,
     _graft,
     _image_gaps,
     _inverted,
     _is_int,
+    _literal,
     _merged,
     _PieceMap,
     _run_points,
@@ -428,82 +429,70 @@ def random_unit(seed, max_shift: int = 3, window: int = 4, max_support: int = 5)
 
 # -- text ------------------------------------------------------------------------
 
-_AM_RE = re.compile(
-    r"am\[" + ",".join(rf"\s*{name}\s*=\s*([+-]?\d+)\s*" for name in "dLuR") + r";(.*)\]\Z",
-    re.DOTALL,
-)
-_PAIR_RE = re.compile(r"([+-]?\d+)\s*->\s*([+-]?\d+)\Z")
-
-
 # deletes the numbers and their signs, and so the "-" of each "->", from a literal
 _AM_NUMBERS = str.maketrans("", "", "0123456789+-")
 
 
-def _printed_almost(s: str):
-    """The arguments of make_almost for a literal spelled exactly as ``to_text`` prints it, else None.
-
-    Deleting the numbers from a printed literal with m middle entries leaves
-    ``am[d=,L=,u=,R=;``, then m times `` >`` joined by commas, then ``]``.
-    When that skeleton matches, a character in the wrong place leaves a letter,
-    bracket or separator in one of the fields cut out below, where ``int``
-    rejects it.  ``int`` would strip a space, so the one after ``;`` is checked;
-    any other space out of place stays in a field with its comma.  A repeated
-    middle point also takes the regex path, which reports it.
-    """
-    skeleton = s.translate(_AM_NUMBERS)
-    m = skeleton.count(">")
-    if skeleton != "am[d=,L=,u=,R=;" + (" >," * m)[:-1] + "]":
-        return None
-    head, _, mid = s[5:-1].partition(";")
-    if mid[:1] != (" " if m else ""):
+def _head(text: str):
+    """[d, L, u, R] from the text between ``am[`` and ``;``, else None."""
+    text = _bare(text)
+    if text is None or text.translate(_AM_NUMBERS) != "d=,L=,u=,R=":
         return None
     try:
-        d, dl, u, ur = map(int, head.replace(",L=", ",").replace(",u=", ",").replace(",R=", ",").split(","))
-        ends = [*map(int, mid[1:].replace("->", ", ").split(", "))] if m else []
+        return [*map(int, text[2:].replace(",L=", ",").replace(",u=", ",").replace(",R=", ",").split(","))]
+    except ValueError:
+        return None
+
+
+def _middle(text: str):
+    """The middle dict from the text between ``;`` and ``]``, else None.
+
+    Deleting the numbers from a middle of m entries, without its blanks,
+    leaves ``>`` m times joined by commas.  When that skeleton matches, a
+    character in the wrong place leaves a ``>`` or a comma in one of the
+    fields cut out below, where ``int`` rejects it.  A point listed twice also
+    gives None, for :func:`parse_almost` to report.
+    """
+    # the printer puts a blank after each comma, where one is always allowed; a single pass drops them
+    text = _bare(text.replace(", ", ","))
+    if text is None:
+        return None
+    m = text.count(">")
+    if text.translate(_AM_NUMBERS) != (">," * m)[:-1]:
+        return None
+    try:
+        ends = [*map(int, text.replace("->", ",").split(","))] if text else []
     except ValueError:
         return None
     middle = dict(zip(ends[::2], ends[1::2]))
-    if len(middle) != m:
-        return None
-    return d, dl, u, ur, middle
+    # fewer keys than half the numbers: a number without an arrow, or a point listed twice
+    return middle if 2 * len(middle) == len(ends) else None
+
+
+def _entry(text: str) -> tuple:
+    """(k, v) of one middle entry ``k->v``."""
+    pair = _middle(text)
+    if not pair:
+        raise InvalidElementError(f"malformed middle entry: {text!r}")
+    return pair.popitem()
 
 
 def parse_almost(text: str) -> AlmostMonotoneElement:
     """Parse the am[d=..,L=..,u=..,R=..; k->v, ...] syntax.
 
-    A literal spelled exactly as :meth:`AlmostMonotoneElement.to_text` prints
-    it is read by C-level string passes; every other spelling goes through the
-    regex reader.  Both hand their data to :func:`make_almost`, so they accept
-    the same texts and raise the same errors.
+    Blanks may sit next to a separator, never inside a number or ``->``.
+    Without them the literal is read by C-level string passes, and its data
+    goes to :func:`make_almost`, which checks it.  A middle that the passes
+    reject is read again entry by entry, so the first malformed entry or
+    repeated point is reported in text order.
     """
-    args = _printed_almost(text.strip())
-    if args is None:
-        return _parse_almost_by_regex(text)
-    return make_almost(*args)
-
-
-def _parse_almost_by_regex(text: str) -> AlmostMonotoneElement:
-    """The regex reader of every spelling, the reference for the printed-text fast path."""
-    m = _AM_RE.match(text.strip())
-    if not m:
+    s = _literal(text)
+    head, semicolon, body = s[3:-1].partition(";")
+    tails = _head(head) if s[:3] == "am[" and s[-1:] == "]" and semicolon else None
+    if tails is None:
         raise InvalidElementError(f"not an almost-monotone literal: {text!r}")
-    try:
-        # the regex admits only digits, so int fails only past the interpreter's digit limit
-        d, dl, u, ur = map(int, m.group(1, 2, 3, 4))
-    except ValueError:
-        raise InvalidElementError(f"not an almost-monotone literal: {text!r}") from None
-    body = m.group(5).strip()
-    # lazily, so a malformed entry and a repeated point are reported in text order
-    pairs = (_parse_pair(part.strip()) for part in body.split(",")) if body else ()
-    return make_almost(d, dl, u, ur, pairs)
-
-
-def _parse_pair(text: str) -> tuple:
-    pm = _PAIR_RE.match(text)
-    if pm:
-        # int fails only past the interpreter's digit limit
-        try:
-            return int(pm.group(1)), int(pm.group(2))
-        except ValueError:
-            pass
-    raise InvalidElementError(f"malformed middle entry: {text!r}")
+    middle = _middle(body)
+    if middle is None:
+        # lazily, so make_almost sees a malformed entry and a repeated point in text order
+        middle = (_entry(part.strip()) for part in body.split(",")) if body.strip() else ()
+    return make_almost(*tails, middle)

@@ -706,69 +706,90 @@ import re
 
 _SHIFT_RE = re.compile(r"shift\(\s*([+-]?\d+)\s*\)\Z")
 _EGAPS_RE = re.compile(r"E\{([^{}]*)\}\Z")
-_SEG_RE = re.compile(r"seg\[(.*)\]\Z", re.DOTALL)
-_ONE_SEG = r"\(\s*(?:-inf|[+-]?\d+)\s*\.\.\s*(?:\+inf|[+-]?\d+)\s*,\s*[+-]?\d+\s*\)"
-_SEG_BODY_RE = re.compile(rf"\s*{_ONE_SEG}(?:\s*,\s*{_ONE_SEG})*\s*\Z")
-_ONE_SEG_RE = re.compile(
-    r"\(\s*(-inf|[+-]?\d+)\s*\.\.\s*(\+inf|[+-]?\d+)\s*,\s*([+-]?\d+)\s*\)"
-)
 
 
-def _parse_bound(text: str):
-    if text == "-inf":
-        return NEG_INF
-    if text == "+inf":
-        return POS_INF
-    return int(text)
+def _literal(text) -> str:
+    """The text of an element literal without its surrounding blanks."""
+    if not isinstance(text, str):
+        raise InvalidElementError(f"an element literal must be a string, got {type(text).__name__}")
+    return text.strip()
+
+
+# a decimal digit other than 0-9, which int reads as its value
+_OTHER_DIGIT_RE = re.compile(r"(?![0-9])\d")
+# digits and the letters of "inf" to 0 and signs to +; a blank in "0 0", "+ 0", ". ." or "+ >" splits a token
+_TOKEN_CHARS = str.maketrans("123456789inf-", "0" * 12 + "+")
+
+
+def _bare(text: str):
+    """``text`` without its blanks and with ASCII digits, or None when a blank sits inside a token.
+
+    The literal grammar allows blanks next to a separator and nowhere else, so
+    the bulk passes read the text as if it had none.  A blank is out of place
+    when the characters on its two sides would run together into a number,
+    an infinity, ``..`` or ``->``.
+    """
+    if not text.isascii():
+        text = _OTHER_DIGIT_RE.sub(lambda digit: str(int(digit[0])), text)
+    parts = text.split()
+    if len(parts) > 1:
+        tokens = " ".join(parts).translate(_TOKEN_CHARS)
+        if "0 0" in tokens or "+ 0" in tokens or ". ." in tokens or "+ >" in tokens:
+            return None
+    return "".join(parts)
 
 
 # deletes the numbers, their signs and the letters of "inf" from a segment list
 _SEG_NUMBERS = str.maketrans("", "", "0123456789+-inf")
 
 
-def _printed_segments(body: str):
-    """The segments of a ``seg[...]`` body spelled exactly as ``to_seg_text`` prints it, else None.
+def _segment_list(body: str):
+    """The (lo, hi, offset) triples of a ``seg[...]`` body, else None.
 
-    Deleting the numbers from a printed body of n segments leaves
+    Deleting the numbers from a body of n segments, without its blanks, leaves
     ``(..,),(..,)`` with n groups.  When that skeleton matches, a character in
     the wrong place leaves a bracket, a dot, a comma or a letter in one of the
-    fields cut out below, where ``int`` or the two ``inf`` comparisons reject
-    it.  On a field of ASCII digits and signs, ``int`` accepts exactly an
-    optional sign and digits, as the regex reader does.
+    fields cut out below, where ``int`` or the infinity tests reject it.  On a
+    field of ASCII digits and signs, ``int`` accepts exactly an optional sign
+    and digits.
     """
+    body = _bare(body)
+    if body is None:
+        return None
     skeleton = body.translate(_SEG_NUMBERS)
     n = (len(skeleton) + 1) // 6
     if not n or skeleton != ("(..,)," * n)[:-1]:
         return None
     fields = body[1:-1].replace("),(", ",").replace("..", ",").split(",")
-    if fields[0] != "-inf" or fields[-2] != "+inf":
-        return None
+    if fields[0] == "-inf" and fields[-2] == "+inf":
+        try:
+            bounds = [NEG_INF, *map(int, fields[1:-2]), POS_INF, int(fields[-1])]
+            return zip(*[iter(bounds)] * 3)
+        except ValueError:
+            pass
+    # segments out of order, an infinity inside the list or a malformed field
     try:
-        bounds = [NEG_INF, *map(int, fields[1:-2]), POS_INF, int(fields[-1])]
+        return [
+            (NEG_INF if lo == "-inf" else int(lo), POS_INF if hi == "+inf" else int(hi), int(off))
+            for lo, hi, off in zip(*[iter(fields)] * 3, strict=True)
+        ]
     except ValueError:
         return None
-    return zip(*[iter(bounds)] * 3)
 
 
 def parse_element(text: str) -> MonotoneElement:
     """Parse the canonical element syntax: id, shift(k), E{...}, seg[...].
 
-    A ``seg[...]`` literal spelled exactly as :meth:`MonotoneElement.to_seg_text`
-    prints it is read by C-level string passes; every other spelling goes
-    through the regex reader.  Both hand their segments to :func:`normalize`,
-    so they accept the same texts and raise the same errors.
+    A ``seg[...]`` literal may have blanks next to its separators, never inside
+    a number, an infinity or ``..``.  Without them it is read by C-level string
+    passes, and its segments go to :func:`normalize`, which checks them.
     """
-    s = text.strip()
+    s = _literal(text)
     if s[:4] == "seg[" and s[-1:] == "]":
-        segs = _printed_segments(s[4:-1])
-        if segs is not None:
-            return normalize(segs)
-    return _parse_element_by_regex(text)
-
-
-def _parse_element_by_regex(text: str) -> MonotoneElement:
-    """The regex reader of every spelling, the reference for the printed-text fast path."""
-    s = text.strip()
+        segs = _segment_list(s[4:-1])
+        if segs is None:
+            raise InvalidElementError(f"malformed segment list: {text!r}")
+        return normalize(segs)
     if s == "id":
         return identity()
     m = _SHIFT_RE.match(s)
@@ -782,21 +803,12 @@ def _parse_element_by_regex(text: str) -> MonotoneElement:
     if m:
         body = m.group(1).strip()
         try:
+            if "_" in body:  # int would read "1_0" as 10, which no other literal accepts
+                raise ValueError(body)
             gaps = [int(p) for p in body.split(",")] if body else []
         except ValueError:
             raise InvalidElementError(f"malformed gap list: {text!r}") from None
         # point input: the collapse cache is keyed on points, and zeroing its offsets leaves the idempotent
         segs = _collapse_cached(tuple(sorted(set(gaps)))).pieces
         return MonotoneElement._trusted([(lo, hi, 0) for lo, hi, _ in segs])
-    m = _SEG_RE.match(s)
-    if m:
-        body = m.group(1)
-        if not _SEG_BODY_RE.match(body):
-            raise InvalidElementError(f"malformed segment list: {text!r}")
-        try:
-            # the regex admits only digits, so int fails only past the interpreter's digit limit
-            segs = [(_parse_bound(lo), _parse_bound(hi), int(off)) for lo, hi, off in _ONE_SEG_RE.findall(body)]
-        except ValueError:
-            raise InvalidElementError(f"malformed segment list: {text!r}") from None
-        return normalize(segs)
     raise InvalidElementError(f"not an element literal: {text!r}")

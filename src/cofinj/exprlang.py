@@ -173,9 +173,6 @@ _FUNCTIONS = {
 # the relation predicates; each parses as a two-argument call named by its operator, as '<=' does
 _RELATIONS = ("~R", "~L", "~H", "~mg")
 
-_GEN_RE = re.compile(r"([ab])([+-])\(\s*([+-]?\d+)\s*\)\Z")
-
-
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -263,9 +260,10 @@ class _Parser:
             return Lit(_almost.parse_almost(t.text))
         if t.kind == "GEN":
             self.next()
-            m = _GEN_RE.match(t.text)
-            letter = "p" if m.group(1) == "a" else "q"
-            return Gen(self._int(m.group(3), t.pos + m.start(3)), m.group(2), letter)
+            # the token is a letter, a sign, and an integer in parentheses, maybe with blanks around it
+            digits = t.text[3:-1].strip()
+            letter = "p" if t.text[0] == "a" else "q"
+            return Gen(self._int(digits, t.pos + t.text.index(digits, 3)), t.text[1], letter)
         if t.kind == "INT":
             self.next()
             return Lit(self._int(t.text, t.pos))

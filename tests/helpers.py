@@ -4,6 +4,7 @@ Everything here works pointwise on explicit integer windows or by exhaustive
 enumeration, never through the segment arithmetic under test.
 """
 
+import re
 import time
 from itertools import combinations, filterfalse, permutations, product
 
@@ -19,9 +20,14 @@ from cofinj.core import (
     MonotoneElement,
     Segment,
     _check_segment,
+    _EGAPS_RE,
+    _SHIFT_RE,
+    _collapse_cached,
     _PieceMap,
     element_from_gaps,
+    identity,
     normalize,
+    shift,
 )
 
 
@@ -1100,3 +1106,91 @@ def ref_unit_recompose(dec) -> AlmostMonotoneElement:
     lo, hi = min(perm), max(perm)
     mid = {x: perm.get(x, x) + k for x in range(lo, hi + 1)}
     return AlmostMonotoneElement._trusted(ref_checked_pieces(lo - 1, k, hi + 1, k, mid))
+
+
+# -- the regex literal readers, the reference for parse_element and parse_almost ----------
+
+_SEG_RE = re.compile(r"seg\[(.*)\]\Z", re.DOTALL)
+_ONE_SEG = r"\(\s*(?:-inf|[+-]?\d+)\s*\.\.\s*(?:\+inf|[+-]?\d+)\s*,\s*[+-]?\d+\s*\)"
+_SEG_BODY_RE = re.compile(rf"\s*{_ONE_SEG}(?:\s*,\s*{_ONE_SEG})*\s*\Z")
+_ONE_SEG_RE = re.compile(
+    r"\(\s*(-inf|[+-]?\d+)\s*\.\.\s*(\+inf|[+-]?\d+)\s*,\s*([+-]?\d+)\s*\)"
+)
+
+
+def _parse_bound(text: str):
+    if text == "-inf":
+        return NEG_INF
+    if text == "+inf":
+        return POS_INF
+    return int(text)
+
+
+def _parse_element_by_regex(text: str) -> MonotoneElement:
+    """The regex reader of every spelling, the reference for ``core.parse_element``."""
+    s = text.strip()
+    if s == "id":
+        return identity()
+    m = _SHIFT_RE.match(s)
+    if m:
+        try:
+            k = int(m.group(1))
+        except ValueError:
+            raise InvalidElementError(f"not an element literal: {text!r}") from None
+        return shift(k)
+    m = _EGAPS_RE.match(s)
+    if m:
+        body = m.group(1).strip()
+        try:
+            gaps = [int(p) for p in body.split(",")] if body else []
+        except ValueError:
+            raise InvalidElementError(f"malformed gap list: {text!r}") from None
+        # point input: the collapse cache is keyed on points, and zeroing its offsets leaves the idempotent
+        segs = _collapse_cached(tuple(sorted(set(gaps)))).pieces
+        return MonotoneElement._trusted([(lo, hi, 0) for lo, hi, _ in segs])
+    m = _SEG_RE.match(s)
+    if m:
+        body = m.group(1)
+        if not _SEG_BODY_RE.match(body):
+            raise InvalidElementError(f"malformed segment list: {text!r}")
+        try:
+            # the regex admits only digits, so int fails only past the interpreter's digit limit
+            segs = [(_parse_bound(lo), _parse_bound(hi), int(off)) for lo, hi, off in _ONE_SEG_RE.findall(body)]
+        except ValueError:
+            raise InvalidElementError(f"malformed segment list: {text!r}") from None
+        return normalize(segs)
+    raise InvalidElementError(f"not an element literal: {text!r}")
+
+
+_AM_RE = re.compile(
+    r"am\[" + ",".join(rf"\s*{name}\s*=\s*([+-]?\d+)\s*" for name in "dLuR") + r";(.*)\]\Z",
+    re.DOTALL,
+)
+_PAIR_RE = re.compile(r"([+-]?\d+)\s*->\s*([+-]?\d+)\Z")
+
+
+def _parse_almost_by_regex(text: str) -> AlmostMonotoneElement:
+    """The regex reader of every spelling, the reference for ``almost.parse_almost``."""
+    m = _AM_RE.match(text.strip())
+    if not m:
+        raise InvalidElementError(f"not an almost-monotone literal: {text!r}")
+    try:
+        # the regex admits only digits, so int fails only past the interpreter's digit limit
+        d, dl, u, ur = map(int, m.group(1, 2, 3, 4))
+    except ValueError:
+        raise InvalidElementError(f"not an almost-monotone literal: {text!r}") from None
+    body = m.group(5).strip()
+    # lazily, so a malformed entry and a repeated point are reported in text order
+    pairs = (_parse_pair(part.strip()) for part in body.split(",")) if body else ()
+    return make_almost(d, dl, u, ur, pairs)
+
+
+def _parse_pair(text: str) -> tuple:
+    pm = _PAIR_RE.match(text)
+    if pm:
+        # int fails only past the interpreter's digit limit
+        try:
+            return int(pm.group(1)), int(pm.group(2))
+        except ValueError:
+            pass
+    raise InvalidElementError(f"malformed middle entry: {text!r}")

@@ -1,12 +1,13 @@
-"""The bulk readers of printed ``seg[...]`` and ``am[...]`` text against the regex reader.
+"""The ``seg[...]`` and ``am[...]`` readers against the regex readers.
 
-``parse_element`` and ``parse_almost`` read a literal spelled exactly as
-``to_seg_text`` or ``to_text`` prints it with bulk string passes, and every
-other spelling with the regex reader (``core._parse_element_by_regex`` and
-``almost._parse_almost_by_regex``), which is the reference here.  Printed text
-of random elements, with offsets of 2^60 and gaps 10^12 wide, must take the
-bulk path and read back as the element; perturbed text must give the same
-value, or the same exception class and message, on both paths.
+``parse_element`` and ``parse_almost`` drop the blanks that the grammar
+allows next to a separator and read the rest with bulk string passes.  The
+regex readers in ``helpers`` (``_parse_element_by_regex`` and
+``_parse_almost_by_regex``) read every spelling one token at a time and are
+the reference here.  Printed text of random elements, with offsets of 2^60
+and gaps 10^12 wide, must read back as the element, and so must that text
+with blanks around its separators; perturbed text must give the same value,
+or the same exception class and message, from the library and the reference.
 """
 
 import re
@@ -17,10 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cofinj import almost as am
-from cofinj import core
 from cofinj.core import NEG_INF, POS_INF, InvalidElementError, MonotoneElement, parse_element, shift
 
-from helpers import _pieces_as_repr  # noqa: F401
+from helpers import _parse_almost_by_regex, _parse_element_by_regex, _pieces_as_repr  # noqa: F401
 
 WIDE = 2**60
 BIG = 10**12
@@ -70,10 +70,10 @@ def _outcome(read, text):
 
 def _same_on_both_paths(text):
     if "am[" in text:
-        fast, reference = am.parse_almost, am._parse_almost_by_regex
+        read, reference = am.parse_almost, _parse_almost_by_regex
     else:
-        fast, reference = parse_element, core._parse_element_by_regex
-    assert _outcome(fast, text) == _outcome(reference, text), text
+        read, reference = parse_element, _parse_element_by_regex
+    assert _outcome(read, text) == _outcome(reference, text), text
 
 
 # -- printed text ----------------------------------------------------------------
@@ -81,20 +81,18 @@ def _same_on_both_paths(text):
 
 @CHECK
 @given(monotone())
-def test_printed_segment_lists_take_the_bulk_path_and_read_back(e):
+def test_printed_segment_lists_read_back(e):
     text = e.to_seg_text()
-    assert core._printed_segments(text[4:-1]) is not None, text
     assert parse_element(text) == e
-    assert core._parse_element_by_regex(text) == e
+    assert _parse_element_by_regex(text) == e
 
 
 @CHECK
 @given(almost())
-def test_printed_almost_literals_take_the_bulk_path_and_read_back(a):
+def test_printed_almost_literals_read_back(a):
     text = a.to_text()
-    assert am._printed_almost(text) is not None, text
     assert am.parse_almost(text) == a
-    assert am._parse_almost_by_regex(text) == a
+    assert _parse_almost_by_regex(text) == a
 
 
 # -- perturbed text ----------------------------------------------------------------
@@ -110,6 +108,14 @@ def _at(draw, text, pattern):
     """The span of one match of ``pattern`` in ``text``, or None when there is none."""
     spans = [m.span() for m in re.finditer(pattern, text)]
     return draw(st.sampled_from(spans)) if spans else None
+
+
+def _legal_blanks(draw, text):
+    """Runs of blanks on both sides of every separator, and inside the brackets, where the grammar allows them."""
+    i = text.find("[") + 1
+    runs = st.text(st.sampled_from(BLANKS), max_size=3)
+    inner = re.sub(r"\.\.|->|[(),;=]", lambda m: draw(runs) + m[0] + draw(runs), text[i:-1])
+    return text[:i] + draw(runs) + inner + draw(runs) + text[-1:]
 
 
 def _blank(draw, text):
@@ -213,6 +219,7 @@ PERTURBATIONS = [
     _empty_entry,
     _stray_number,
     _characters,
+    _legal_blanks,
 ]
 
 
@@ -243,6 +250,22 @@ def test_perturbed_segment_lists_read_as_the_regex_reader_reads_them(perturb, da
 def test_perturbed_almost_literals_read_as_the_regex_reader_reads_them(perturb, data):
     elements = st.one_of(NARROW_ALMOST, almost())
     _same_on_both_paths(_perturbed(data, perturb, elements, am.AlmostMonotoneElement.to_text))
+
+
+@PERTURBED
+@given(monotone(), st.data())
+def test_blank_spelled_segment_lists_read_back(e, data):
+    text = _legal_blanks(data.draw, e.to_seg_text())
+    assert parse_element(text) == e
+    assert _parse_element_by_regex(text) == e
+
+
+@PERTURBED
+@given(st.one_of(NARROW_ALMOST, almost()), st.data())
+def test_blank_spelled_almost_literals_read_back(a, data):
+    text = _legal_blanks(data.draw, a.to_text())
+    assert am.parse_almost(text) == a
+    assert _parse_almost_by_regex(text) == a
 
 
 @pytest.mark.parametrize(
@@ -353,10 +376,19 @@ def test_perturbation_examples_read_as_the_regex_reader_reads_them(text):
     _same_on_both_paths(text)
 
 
-def test_the_fallback_literals_of_the_packaging_smoke_test():
+def test_the_blank_spelled_literals_of_the_packaging_smoke_test():
     assert parse_element("seg[ (-inf..0,+0) , (2..+inf,+0) ]").to_text() == "E{1}"
+    assert am.canonicalize(am.parse_almost("am[ d = 0 , L=0, u=\u0663, R=0 ; 1 -> 1 ]")).to_text() == "E{2}"
     with pytest.raises(InvalidElementError, match=r"\Amiddle point 1 listed twice\Z"):
         am.parse_almost("am[d=0,L=0,u=3,R=0; 1->1, 1->2]")
+
+
+@pytest.mark.parametrize("text", ["E{1_0}", "E{0, 1_0}", " E{ 1_000 } "])
+def test_an_underscore_in_a_gap_list_is_malformed(text):
+    # int reads "1_0" as 10, and so does the regex reader; every other literal rejects an underscore
+    with pytest.raises(InvalidElementError) as err:
+        parse_element(text)
+    assert str(err.value) == f"malformed gap list: {text!r}"
 
 
 # -- integers past the digit limit ---------------------------------------------------

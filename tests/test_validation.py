@@ -44,6 +44,7 @@ from cofinj.core import (
     collapse_element,
     element_from_gaps,
     normalize,
+    parse_element,
     random_element,
 )
 
@@ -364,6 +365,14 @@ def test_unit_recompose_rejects_like_the_reference(support, k, what):
 def test_non_iterable_or_unhashable_input_is_an_invalid_element(call, bad):
     with pytest.raises(InvalidElementError, match=re.escape(f"got {bad!r}")):
         call()
+
+
+@pytest.mark.parametrize("read", [parse_element, parse_almost])
+@pytest.mark.parametrize("bad", [5, None, b"id", ["am[d=0,L=0,u=1,R=0;]"]], ids=["int", "None", "bytes", "list"])
+def test_a_literal_that_is_not_a_string_is_an_invalid_element(read, bad):
+    message = f"an element literal must be a string, got {type(bad).__name__}"
+    with pytest.raises(InvalidElementError, match=rf"\A{message}\Z"):
+        read(bad)
 
 
 def test_int_enum_gaps_middles_and_supports_are_accepted_by_both():
