@@ -53,8 +53,8 @@ def compose_segments(a, b):
 def merge_pieces(pieces):
     """The pieces with each run of neighbours that touch and share an offset merged into one.
 
-    Every graft, solver candidate and almost-monotone composite ends here, by
-    way of ``core._merged``.  The last output piece is kept in locals, and a
+    Every graft and almost-monotone composite ends here, by way of
+    ``core._merged``.  The last output piece is kept in locals, and a
     piece that merges with nothing is appended as given.
     """
     merged = []

@@ -298,7 +298,9 @@ def _translation_off(runs, k: int = 0) -> list:
 def _merged(pieces) -> list:
     """Maximal pieces of (lo, hi, offset) pieces with disjoint domains, given in any order.
 
-    Every map built from finitely many pieces is built here, in O(n log n) in its pieces.
+    Every map built from finitely many pieces is built here, in O(n log n) in
+    its pieces, except the solvers' candidates, which green._extensions builds
+    in domain order.
     """
     return _kernel.merge_pieces(sorted(pieces))
 

@@ -7,15 +7,18 @@ determine the answer.  Gap sets are read as sorted maximal runs, so the cost
 of the R/L/H relations, the factorization and the H-class members does not
 grow with the gap widths.  One solver enumerates the full (finite) solution
 set of a*x == b or x*a == b, inside the monotone monoid or inside the
-almost-monotone one.  It reads its cells off gap runs, and it lists a cell's
-points only when the cell has room for an extra point.  Each candidate costs
-only its own pieces, its check against the full product and its text.
+almost-monotone one, and it enumerates x itself on either side.  It reads its
+cells off gap runs, and it lists a cell's points only when the cell has room
+for an extra point.  It walks the tree of extensions of the forced map, where
+each candidate is its parent plus one point piece, so a candidate costs a
+copy of its pieces, its check against the full product and its text.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import partial
-from itertools import chain, combinations, groupby, permutations, product
+from itertools import groupby
 from operator import itemgetter, methodcaller
 
 from . import _kernel
@@ -24,8 +27,12 @@ from .core import (
     InvalidElementError,
     MonotoneElement,
     _from_runs,
+    _image_gaps,
+    _inverted,
+    _lo,
     _merged,
     _overlaps,
+    _run_ints,
     _runs_within,
 )
 from . import almost as _almost
@@ -89,82 +96,159 @@ def solve_right(a, b, within: str | None = None):
     solution extends the forced partial map a.inverse()*b by finitely many
     points taken from the complement of ran(a), which keeps the set finite.
     """
-    return tuple(sorted(_right_solutions(a, b, within), key=_text_key))
+    return _solve(a, b, within, False)
 
 
 def solve_left(a, b, within: str | None = None):
-    """All x with x * a == b; dual to solve_right through inversion, which keeps each input's class."""
-    sols = _right_solutions(a.inverse(), b.inverse(), within)
-    return tuple(sorted((x.inverse() for x in sols), key=_text_key))
+    """All x with x * a == b, as a tuple sorted by canonical text.
+
+    Every solution extends the forced partial map b*a.inverse() by finitely
+    many points of dom(b)'s complement, sent into the gaps of dom(a).  The
+    solutions are enumerated and checked as they are, with x * a, not as the
+    inverses of the solutions of the inverted equation.
+    """
+    return _solve(a, b, within, True)
 
 
-def _right_solutions(a, b, within):
-    """The solutions of a * x == b in the monoid ``within`` picks, unsorted.
+def _solve(a, b, within, left):
+    """The solutions of x * a == b (``left``) or a * x == b, sorted by text.
 
-    Each solution is forced = a^-1 * b grafted with one extension per cell:
-    n of the cell's free points sent to n of its values by the monoid's
-    pairing rule.  The monoid is picked once, as data: its cells, its pairing
-    rule, the product that checks a candidate and the wrapper of one that passes.
-    A candidate's pieces are one sort-and-merge of forced's pieces with its
-    options' point pieces; the full product a*x is compared with b on that
-    raw list, and only a candidate that passes is wrapped.
+    The monoid is picked once, as data: its cells, its pairing rule, the
+    order in which a left factor goes to the kernel and the wrapper of a
+    candidate that passes.  Cells are read as for a right problem, with
+    free points in ran(a)'s gaps; a left problem reads them off the forced
+    map turned around, with dom(a)'s gaps free, and swaps their two sides.
+
+    Every candidate goes through the full product with a in the kernel, and
+    only one that passes is wrapped.  The root, the forced map, passes when
+    its product, merged, is b.  A solution differs from it only by points
+    the product does not read (off ran(a) on the right, with images off
+    dom(a) on the left), and the kernel splits its output only where the map
+    it reads does, so every other candidate must give the root's raw product.
     """
     either_almost = isinstance(a, _AM) or isinstance(b, _AM)
     if within is None:
         within = "almost" if either_almost else "monotone"
     if within == "almost":
-        # a's pieces are sorted by image once; each check is the full product a*x
-        check = partial(_almost._composite, _almost._by_image(a))
-        cells, pair, wrap = _almost_cells, permutations, _AM._trusted
+        # a left factor goes to the kernel sorted by image
+        by_image = partial(sorted, key=_almost._image_lo)
+        cells_of, pair, wrap = _almost_cells, _unused, _AM._trusted
     elif within != "monotone":
         raise ValueError(f"unknown monoid {within!r}")
     elif either_almost:
         raise InvalidElementError("the monotone monoid takes monotone elements")
     else:
-        check = partial(_kernel.compose_segments, a.pieces)
-        cells, pair, wrap = _monotone_cells, combinations, MonotoneElement._trusted
-    if not _runs_within(a._dom_runs(), b._dom_runs()):
-        return ()
-    forced = a.inverse() * b
-    options = [_cell_options(points, values, pair) for points, values in cells(a, forced)]
-    base, want = forced.pieces, list(b.pieces)
-    out = []
-    for combo in product(*options):
-        pieces = _merged([*base, *chain.from_iterable(combo)])
-        # an explicit raise, so that the check also runs under python -O
-        if check(pieces) != want:
-            raise AssertionError(f"a solver candidate fails a * x == b: {pieces!r}")
+        by_image, cells_of, pair, wrap = _as_is, _monotone_cells, _increasing, MonotoneElement._trusted
+    compose = _kernel.compose_segments
+    if left:
+        if not _runs_within(a._ran_runs(), b._ran_runs()):
+            return ()
+        forced = b * a.inverse()
+        cells = [(values, points) for points, values in cells_of(a._dom_runs(), _inverted(forced.pieces))]
+        product, equation = (lambda x: compose(by_image(x), a.pieces)), "x * a == b"
+    else:
+        if not _runs_within(a._dom_runs(), b._dom_runs()):
+            return ()
+        forced = a.inverse() * b
+        cells = cells_of(a._ran_runs(), forced.pieces)
+        product, equation = partial(compose, by_image(a.pieces)), "a * x == b"
+    candidates = _extensions(forced.pieces, cells, pair)
+    root = next(candidates)
+    want = product(root)
+    # explicit raises, so that the checks also run under python -O
+    if _merged(want) != list(b.pieces):
+        raise AssertionError(f"a solver candidate fails {equation}: {root!r}")
+    out = [wrap(root)]
+    for pieces in candidates:
+        if product(pieces) != want:
+            raise AssertionError(f"a solver candidate fails {equation}: {pieces!r}")
         out.append(wrap(pieces))
-    return out
+    return tuple(sorted(out, key=_text_key))
 
 
-def _monotone_cells(a, forced):
-    """One cell per maximal run of dom(forced) gaps that meets ran(a)'s gaps.
+def _as_is(pieces):
+    """Monotone pieces in domain order, which is their image order too."""
+    return pieces
 
-    Its free points are a's range gaps in the run, and its values lie strictly
-    between the forced values around the run; pairing them in increasing
-    order keeps the graft canonical.
+
+def _monotone_cells(free, pieces):
+    """One cell per gap between neighbouring forced pieces whose domain part meets the sorted runs ``free``.
+
+    Its points are the free points in the domain gap, and its values lie
+    strictly between the images of the two neighbours; pairing them in
+    increasing order keeps the graft canonical.
     """
-    for (lo, hi), overlaps in groupby(_overlaps(forced._dom_runs(), a._ran_runs()), key=itemgetter(2)):
-        yield [o[:2] for o in overlaps], [(forced(lo - 1) + 1, forced(hi + 1) - 1)]
+    # (domain gap, range gap) of each neighbouring pair, as one (lo, hi, value lo, value hi) item
+    gaps = [(p[1] + 1, q[0] - 1, p[1] + p[2] + 1, q[0] + q[2] - 1) for p, q in zip(pieces, pieces[1:])]
+    cells = groupby(_overlaps(gaps, free), key=itemgetter(2))
+    return [([o[:2] for o in overlaps], [gap[2:]]) for gap, overlaps in cells]
 
 
-def _almost_cells(a, forced):
-    """One cell, the whole gap set: a's range gaps go to forced's range gaps in any order."""
-    return [(a._ran_runs(), forced._ran_runs())]
+def _almost_cells(free, pieces):
+    """One cell, the whole gap set: the free runs go to the forced range's gaps in any order."""
+    return [(free, _image_gaps(pieces))]
 
 
-def _cell_options(point_runs, value_runs, pair) -> list:
-    """Each extension of one cell, as its point pieces (x, x, value - x) sorted by x; () alone if a side is empty.
+def _increasing(used, n):
+    """The monotone pairing rule: a cell's values increase with its points."""
+    return range(used[-1] + 1 if used else 0, n)
 
-    Both sides are checked as runs, so an empty side lists no points.
+
+def _unused(used, n):
+    """The almost-monotone pairing rule: a point takes any value of its cell not yet used."""
+    return [v for v in range(n) if v not in used]
+
+
+def _extensions(base, cells, pair):
+    """The maximal pieces, in domain order, of each extension of the forced pieces ``base``.
+
+    ``cells`` are (point runs, value runs) pairs in domain order; a cell with
+    an empty side lists no points.  The extensions form a tree, walked with
+    an explicit stack from its root, ``base`` itself: a node extends its
+    parent by one point piece (x, x, v - x), at a free point x past the
+    parent's last one and with a value v of x's cell that ``pair`` allows
+    after the values the branch has used in that cell.  A node keeps its
+    pieces up to x.  A child takes them, the forced pieces up to its point
+    (from a slot bisected once per point) and its point piece, each merged
+    only where it joins the piece before; its candidate is that list joined
+    to the rest of the forced pieces.
     """
-    if not any(lo <= hi for lo, hi in point_runs) or not any(lo <= hi for lo, hi in value_runs):
-        return [()]
-    points, values = ([x for lo, hi in runs for x in range(lo, hi + 1)] for runs in (point_runs, value_runs))
-    return [
-        tuple([(x, x, v - x) for x, v in zip(chosen, vals)])
-        for n in range(min(len(points), len(values)) + 1)
-        for chosen in combinations(points, n)
-        for vals in pair(values, n)
-    ]
+    base = list(base)
+    yield base
+    points, values = [], []
+    for point_runs, value_runs in cells:
+        if any(lo <= hi for lo, hi in point_runs) and any(lo <= hi for lo, hi in value_runs):
+            points += [(x, len(values)) for x in _run_ints(point_runs)]
+            values.append(list(_run_ints(value_runs)))
+    slots = [bisect_left(base, x, key=_lo) for x, _ in points]
+    n = len(points)
+    # a node: its pieces up to its last point, the forced pieces among them, the
+    # next point it may extend by, its last point's cell and the values its branch used there
+    stack = [([], 0, 0, None, ())]
+    while stack:
+        head, k, i, last, used = stack.pop()
+        for j in range(i, n):
+            x, c = points[j]
+            s = slots[j]
+            upto, rest = _joined(head, base[k:s]), base[s:]
+            plo, phi, poff = upto[-1]
+            in_cell = used if c == last else ()
+            for vi in pair(in_cell, len(values[c])):
+                o = values[c][vi] - x
+                if o == poff and phi + 1 == x:
+                    grown = [*upto[:-1], (plo, x, o)]
+                else:
+                    grown = [*upto, (x, x, o)]
+                yield _joined(grown, rest)
+                if j + 1 < n:
+                    stack.append((grown, s, j + 1, c, (*in_cell, vi)))
+
+
+def _joined(left, right) -> list:
+    """left + right for two lists of maximal pieces in domain order, merged where they meet."""
+    if left and right:
+        plo, phi, off = left[-1]
+        lo, hi, o = right[0]
+        if o == off and phi + 1 == lo:
+            return [*left[:-1], (plo, hi, off), *right[1:]]
+    return left + right

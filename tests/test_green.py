@@ -32,7 +32,7 @@ from cofinj.green import (
 from cofinj import almost as am
 from cofinj import green
 
-from helpers import enumerate_monotone, ref_solve_right_almost, ref_solve_right_monotone
+from helpers import _fastest_ms, enumerate_monotone, ref_solve_right_almost, ref_solve_right_monotone
 
 A0P = parse_element("seg[(-inf..0,+0),(1..+inf,+1)]")
 
@@ -172,10 +172,15 @@ def test_every_candidate_is_checked_by_the_full_product(monkeypatch, within, cel
     assert solve_right(a, b, within) == (want,) == solve_left(a, b, within)
     # a = id has no range gap and so no cell; the planted one sends 0 to 0, and id * id != E{0}
     monkeypatch.setattr(green, cells, lambda a, forced: [([(0, 0)], [(0, 0)])])
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match=r"^a solver candidate fails a \* x == b: "):
         solve_right(a, b, within)
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match=r"^a solver candidate fails x \* a == b: "):
         solve_left(a, b, within)
+    # the forced map is checked too: a walk whose root is id instead of E{0} must not pass
+    monkeypatch.setattr(green, "_extensions", lambda base, cells, pair: iter([list(identity().pieces)]))
+    for solve in (solve_right, solve_left):
+        with pytest.raises(AssertionError, match="^a solver candidate fails "):
+            solve(a, b, within)
 
 
 PLANTED_CELL_UNDER_O = """
@@ -183,19 +188,38 @@ from cofinj import green
 from cofinj.core import IdempotentGaps, identity
 
 green.{cells} = lambda a, forced: [([(0, 0)], [(0, 0)])]
-print(green.solve_right(identity(), IdempotentGaps({{0}}).to_element(), "{within}"))
+print(green.solve_{side}(identity(), IdempotentGaps({{0}}).to_element(), "{within}"))
 """
 
 
 @pytest.mark.parametrize("within, cells", [("monotone", "_monotone_cells"), ("almost", "_almost_cells")])
 def test_candidates_are_checked_under_python_O(within, cells):
-    """The planted cell of the test above still raises when asserts are compiled away."""
+    """The planted cell of the test above still raises when asserts are compiled away, on either side."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    code = PLANTED_CELL_UNDER_O.format(cells=cells, within=within)
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode != 0 and proc.stdout == ""
-    assert "AssertionError: a solver candidate fails a * x == b" in proc.stderr
+    for side, equation in (("right", "a * x == b"), ("left", "x * a == b")):
+        code = PLANTED_CELL_UNDER_O.format(cells=cells, within=within, side=side)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode != 0 and proc.stdout == "", side
+        assert f"AssertionError: a solver candidate fails {equation}: " in proc.stderr, side
+
+
+@pytest.mark.parametrize("width", [10**12, 2**60])
+@pytest.mark.parametrize("within", ["monotone", "almost"])
+def test_left_solve_reads_the_turned_cells_as_runs(monkeypatch, within, width):
+    """x * a^-1 == id for a = seg[(-inf..0,+0),(1..+inf,+width)] has one solution, a, found in under 10 ms.
+
+    The mirror of the right solve a * x == id: the one turned-around cell has
+    the width-point gap of dom(a^-1) as its values and no free point, and no
+    point of either side is listed.
+    """
+    a = parse_element(f"seg[(-inf..0,+0),(1..+inf,+{width})]")
+    want = a if within == "monotone" else am.from_monotone(a)
+    listed = []
+    monkeypatch.setattr(green, "_run_ints", lambda runs: listed.extend(runs) or [])
+    ms, got = _fastest_ms(lambda: solve_left(a.inverse(), identity(), within))
+    assert got == (want,) and ms < 10, (got, ms)
+    assert listed == []
 
 
 def test_monotone_candidates_equal_normalized_raw():
@@ -410,7 +434,59 @@ def test_one_solver_matches_both_references():
     assert sizes == {"monotone": {0, 1, 2, 3}, "almost": {0, 1, 2, 3}}
     with pytest.raises(InvalidElementError, match="monotone elements"):
         solve_right(am.almost_identity(), identity(), within="monotone")
-    for n in range(1, 6):
-        e = IdempotentGaps(range(n)).to_element()
-        assert len(solve_right(e, e)) == comb(2 * n, n)
-        assert len(solve_left(e, e, within="almost")) == sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))
+
+
+def _differential_corpus(rng):
+    """(a, b, within) triples: planted pairs for either side, drawn and built by hand.
+
+    The hand-built ones give monotone solves with two or more cells, points
+    whose pieces merge with forced pieces on both sides, and almost-monotone
+    cells whose points lie in two or more runs of the forced domain gaps.
+    """
+    e05, e_wide = IdempotentGaps({0, 5}).to_element(), IdempotentGaps({-2, 0, 1, 4, 7}).to_element()
+    mono = [(e05, e05), (e_wide, e_wide), (e05, e05 * shift(3)), (shift(-1) * e_wide, e_wide)]
+    mono += [(element_from_gaps([0, 3], [1, 6], 0), element_from_gaps([0, 3, 4], [1, 6], 0))]
+    for _ in range(30):
+        a, y = random_element(rng, 3, 2), random_element(rng, 3, 2)
+        mono += [(a, a * y), (a, y * a)]
+    almost = [(am.as_almost(a), am.as_almost(b)) for a, b in mono[:4]]
+    while len(almost) < 40:
+        a, y = am.random_almost(rng, 2, 3, 4), am.random_almost(rng, 2, 3, 4)
+        if len(a.dom_gaps()) <= 3 and len(a.ran_gaps()) <= 3:
+            almost += [(a, am.compose_almost(a, y)), (a, am.compose_almost(y, a))]
+    return [(a, b, w) for a, b in mono for w in ("monotone", "almost")] + [(a, b, "almost") for a, b in almost]
+
+
+def test_solver_matches_the_references_on_both_sides():
+    """Seeded differential test of both sides against the references, with what the tree walk must merge."""
+    seen = set()
+    for a, b, within in _differential_corpus(random.Random(23)):
+        for side, solve in (("right", solve_right), ("left", solve_left)):
+            got = solve(a, b, within=within)
+            assert got == _ref_solve(side, a, b, within), (side, within, a, b)
+            assert len(set(got)) == len(got), (side, within, a, b)
+            forced = a.inverse() * b if side == "right" else b * a.inverse()
+            runs = forced._dom_runs()
+            # the forced gap runs that hold an extra point of some solution
+            used = {i for x in got for i, (lo, hi) in enumerate(runs) for t in range(lo, hi + 1) if x(t) is not None}
+            if len(used) >= 2:
+                seen.add((side, within, "two or more gap runs"))
+            for x in got:
+                for lo, hi in runs:
+                    for t in range(lo, hi + 1):
+                        y = x(t)
+                        if y is not None and x(t - 1) == y - 1 == forced(t - 1) and x(t + 1) == y + 1 == forced(t + 1):
+                            seen.add((side, within, "merged on both sides"))
+    kinds = ("two or more gap runs", "merged on both sides")
+    assert seen == {(side, w, k) for side in ("right", "left") for w in ("monotone", "almost") for k in kinds}
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_idempotent_solve_counts_on_both_sides(n):
+    """E{0..n-1} * x == E{0..n-1} and its mirror: C(2n, n) monotone solutions, sum C(n,k)^2 k! almost-monotone ones."""
+    e = IdempotentGaps(range(n)).to_element()
+    counts = {"monotone": comb(2 * n, n), "almost": sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))}
+    for within, count in counts.items():
+        for solve in (solve_right, solve_left):
+            sols = solve(e, e, within=within)
+            assert len(sols) == len(set(sols)) == count, (within, solve.__name__)
