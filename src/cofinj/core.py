@@ -248,6 +248,11 @@ _lo_hi = itemgetter(0, 1)
 _offset = itemgetter(2)
 
 
+def _check_element(v, name: str):
+    if not isinstance(v, _PieceMap):
+        raise InvalidElementError(f"{name} must be an element, got {v!r}")
+
+
 def _window(pieces) -> tuple:
     """A piece tuple's window: from the end of the first piece to the start of the last, (0, 1) for one piece."""
     return (pieces[0][1], pieces[-1][0]) if len(pieces) > 1 else (0, 1)

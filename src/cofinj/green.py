@@ -11,7 +11,8 @@ almost-monotone one, and it enumerates x itself on either side.  It reads its
 cells off gap runs, and it lists a cell's points only when the cell has room
 for an extra point.  It walks the tree of extensions of the forced map, where
 each candidate is its parent plus one point piece, so a candidate costs a
-copy of its pieces, its check against the full product and its text.
+copy of its pieces and its check against the full product.  The solutions
+come back ordered by their pieces, so no solution's text is built.
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import partial
 from itertools import groupby
-from operator import itemgetter, methodcaller
+from operator import attrgetter, itemgetter
 
 from . import _kernel
 from .core import (
     IdempotentGaps,
     InvalidElementError,
     MonotoneElement,
+    _check_element,
     _from_runs,
     _image_gaps,
     _inverted,
@@ -85,22 +87,24 @@ def h_class_members(elem: MonotoneElement, alignments) -> list:
 # -- finite equation solving ------------------------------------------------------
 
 
-_text_key = methodcaller("to_text")
+_pieces_key = attrgetter("pieces")
 
 
 def solve_right(a, b, within: str | None = None):
-    """All x with a * x == b, as a tuple sorted by canonical text.
+    """All x with a * x == b, as a tuple sorted by ``pieces``.
 
     ``within`` picks the monoid to solve in ("monotone" or "almost"); by
     default it is "almost" as soon as either input is almost-monotone.  Every
     solution extends the forced partial map a.inverse()*b by finitely many
     points taken from the complement of ran(a), which keeps the set finite.
+    The order is that of the solutions' piece tuples, which depends on the
+    solution set alone; sort by ``to_text`` for the order of the printed text.
     """
     return _solve(a, b, within, False)
 
 
 def solve_left(a, b, within: str | None = None):
-    """All x with x * a == b, as a tuple sorted by canonical text.
+    """All x with x * a == b, as a tuple sorted by ``pieces``, as in solve_right.
 
     Every solution extends the forced partial map b*a.inverse() by finitely
     many points of dom(b)'s complement, sent into the gaps of dom(a).  The
@@ -111,7 +115,7 @@ def solve_left(a, b, within: str | None = None):
 
 
 def _solve(a, b, within, left):
-    """The solutions of x * a == b (``left``) or a * x == b, sorted by text.
+    """The solutions of x * a == b (``left``) or a * x == b, sorted by their pieces.
 
     The monoid is picked once, as data: its cells, its pairing rule, the
     order in which a left factor goes to the kernel and the wrapper of a
@@ -126,6 +130,8 @@ def _solve(a, b, within, left):
     dom(a) on the left), and the kernel splits its output only where the map
     it reads does, so every other candidate must give the root's raw product.
     """
+    _check_element(a, "a")
+    _check_element(b, "b")
     either_almost = isinstance(a, _AM) or isinstance(b, _AM)
     if within is None:
         within = "almost" if either_almost else "monotone"
@@ -163,7 +169,7 @@ def _solve(a, b, within, left):
         if product(pieces) != want:
             raise AssertionError(f"a solver candidate fails {equation}: {pieces!r}")
         out.append(wrap(pieces))
-    return tuple(sorted(out, key=_text_key))
+    return tuple(sorted(out, key=_pieces_key))
 
 
 def _as_is(pieces):

@@ -52,10 +52,10 @@ from .core import (
     MonotoneElement,
     NEG_INF,
     POS_INF,
+    _check_element,
     _check_int,
     _gaps_between,
     _overlaps,
-    _PieceMap,
     _runs_within,
     _window,
 )
@@ -110,11 +110,6 @@ class BasicNeighborhood:
 
     def __repr__(self):
         return self.to_text()
-
-
-def _check_element(v, name: str):
-    if not isinstance(v, _PieceMap):
-        raise InvalidElementError(f"{name} must be an element, got {v!r}")
 
 
 def _checked_pins(pins, elem, domain: str) -> frozenset:

@@ -7,6 +7,7 @@ enumeration, never through the segment arithmetic under test.
 import re
 import time
 from itertools import combinations, filterfalse, permutations, product
+from operator import attrgetter
 
 import pytest
 
@@ -52,6 +53,11 @@ def _fastest_ms(fn):
         dt = (time.perf_counter() - t0) * 1e3
         best = dt if best is None else min(best, dt)
     return best, result
+
+
+def by_pieces(elems) -> tuple:
+    """The elements as a tuple sorted by ``pieces``, the order of the solvers' tuples."""
+    return tuple(sorted(elems, key=attrgetter("pieces")))
 
 
 def finite_bound(elem) -> int:

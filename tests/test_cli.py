@@ -245,3 +245,18 @@ def test_eggbox_cells_hold_correct_classes(capsys):
     assert len(reps) == 3
     for k, text in zip(range(-1, 2), reps):
         assert parse_element(text) == element_from_gaps([0], [], k)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_solve_builds_each_solution_text_once(capsys, monkeypatch, fmt):
+    """The 924 solutions of E{0..5}*? = E{0..5} are printed with one to_text call each, in either format."""
+    from cofinj.almost import AlmostMonotoneElement
+    from cofinj.core import MonotoneElement
+
+    calls = []
+    for cls in (MonotoneElement, AlmostMonotoneElement):
+        monkeypatch.setattr(cls, "to_text", lambda self, text=cls.to_text: calls.append(1) or text(self))
+    rc, out, err = run_cli(capsys, "--format", fmt, "--eval", "solve E{0,1,2,3,4,5}*? = E{0,1,2,3,4,5}")
+    assert rc == 0 and err == ""
+    items = json.loads(out)["items"] if fmt == "json" else out.split(", ")
+    assert len(items) == len(calls) == 924

@@ -55,6 +55,7 @@ from cofinj.topology import BasicNeighborhood, _extent, inverse_cover, member, p
 
 from helpers import (
     _fastest_ms,
+    by_pieces,
     expand_runs,
     point_monotonizers,
     ref_collapse,
@@ -262,7 +263,7 @@ def test_monotone_solver_cells_match_point_cells():
     seen = set()
     for a, b in pairs:
         got = solve_right(a, b, within="monotone")
-        assert got == ref_solve_right_monotone(a, b), (a, b)
+        assert got == by_pieces(ref_solve_right_monotone(a, b)), (a, b)
         seen.add(min(len(got), 2))
     assert seen == {0, 1, 2}
 

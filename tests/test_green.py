@@ -31,8 +31,9 @@ from cofinj.green import (
 )
 from cofinj import almost as am
 from cofinj import green
+from cofinj.topology import BasicNeighborhood
 
-from helpers import _fastest_ms, enumerate_monotone, ref_solve_right_almost, ref_solve_right_monotone
+from helpers import _fastest_ms, by_pieces, enumerate_monotone, ref_solve_right_almost, ref_solve_right_monotone
 
 A0P = parse_element("seg[(-inf..0,+0),(1..+inf,+1)]")
 
@@ -249,6 +250,54 @@ def test_solve_rejects_an_unknown_monoid():
         solve_right(identity(), identity(), within="x")
 
 
+@pytest.mark.parametrize("value", [3, None, "E{0}", BasicNeighborhood(identity(), {0}, "W")], ids=repr)
+@pytest.mark.parametrize("solve", [solve_right, solve_left])
+def test_solve_rejects_a_non_element(solve, value):
+    """A non-element on either side of the equation is an InvalidElementError that names the argument."""
+    e = identity()
+    with pytest.raises(InvalidElementError, match="^a must be an element, got "):
+        solve(value, e)
+    with pytest.raises(InvalidElementError, match="^b must be an element, got "):
+        solve(e, value)
+
+
+WIDE_GAP = 10**12
+
+
+@pytest.mark.parametrize("offset", [0, 2**60])
+@pytest.mark.parametrize("within", ["monotone", "almost"])
+@pytest.mark.parametrize("solve", [solve_right, solve_left])
+def test_wide_solutions_cost_their_pieces(solve, within, offset):
+    """id * x == E and x * id == E for a 10^12-point gap of E have one solution, E, found in under 10 ms.
+
+    The solution is the forced map and no cell has room for a point, so
+    nothing in the solve may grow with the gap: neither the cells nor the
+    order of the solutions, which is read off their pieces.  The result is
+    compared by its pieces, whose repr stays short at any width.
+    """
+    e = parse_element(f"seg[(-inf..{offset},+0),({offset + WIDE_GAP + 1}..+inf,+0)]")
+    ms, got = _fastest_ms(lambda: solve(identity(), e, within))
+    cls = am.AlmostMonotoneElement if within == "almost" else MonotoneElement
+    assert [(type(x), x.pieces) for x in got] == [(cls, e.pieces)]
+    assert ms < 10, ms
+
+
+def test_solutions_are_sorted_by_pieces_without_repeats():
+    """Every solve tuple, on either side and in either monoid, is ordered by its solutions' pieces."""
+    mono, almost = _solver_corpus(random.Random(24))
+    cases = [(a, b, w) for a, b in mono for w in ("monotone", "almost")]
+    cases += [(a, b, "almost") for a, b in almost]
+    many = set()
+    for a, b, within in cases:
+        for solve in (solve_right, solve_left):
+            sols = solve(a, b, within=within)
+            # strictly increasing pieces: sorted by pieces, with no repeats
+            assert all(x.pieces < y.pieces for x, y in zip(sols, sols[1:])), (solve.__name__, within, a, b)
+            if len(sols) >= 3:
+                many.add((solve.__name__, within))
+    assert many == {(f.__name__, w) for f in (solve_right, solve_left) for w in ("monotone", "almost")}
+
+
 def test_solve_left_duality():
     rng = random.Random(7)
     for _ in range(60):
@@ -408,14 +457,14 @@ def _solver_corpus(rng):
 
 
 def _ref_solve(side, a, b, within):
-    """The reference solution tuple of a*x == b (right) or x*a == b (left), sorted by text."""
+    """The reference solution tuple of a*x == b (right) or x*a == b (left), sorted by pieces."""
     if within == "almost":
         ref, a, b = ref_solve_right_almost, am.as_almost(a), am.as_almost(b)
     else:
         ref = ref_solve_right_monotone
     if side == "right":
-        return ref(a, b)
-    return tuple(sorted((x.inverse() for x in ref(a.inverse(), b.inverse())), key=lambda e: e.to_text()))
+        return by_pieces(ref(a, b))
+    return by_pieces(x.inverse() for x in ref(a.inverse(), b.inverse()))
 
 
 def test_one_solver_matches_both_references():

@@ -1,13 +1,14 @@
-"""Replay recorded one-sided solves and require the same solutions in the same order.
+"""Replay recorded one-sided solves and require the same solution sets.
 
 ``tests/data/solve_golden.json`` holds seeded solves of the kinds the
 search_wide workload runs: the families ``E{0..n-1} * ? = E{0..n-1}`` for
 n <= 6 on both sides, random monotone pairs with a planted solution (solved in
 both monoids), and almost-monotone pairs over the grid of range-gap counts.
 Each case stores its inputs as canonical text, the number of solutions and
-the SHA-256 of their texts joined by newlines, in the solver's order.
+the SHA-256 of their texts, sorted and joined by newlines.  The digest reads
+the texts in text order, whatever order the solver returns them in.
 
-Re-record it only for a deliberate change of the solution sets or their order:
+Re-record it only for a deliberate change of the solution sets:
 
     PYTHONPATH=src python tests/test_solve_golden.py
 """
@@ -39,7 +40,7 @@ def _solve(case):
 
 
 def _digest(sols):
-    return hashlib.sha256("\n".join(x.to_text() for x in sols).encode()).hexdigest()
+    return hashlib.sha256("\n".join(sorted(x.to_text() for x in sols)).encode()).hexdigest()
 
 
 def _load():
