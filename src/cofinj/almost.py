@@ -102,10 +102,6 @@ class AlmostMonotoneElement(_PieceMap):
         """The map on the open window as a new dict, keys in increasing order."""
         return {x: x + off for lo, hi, off in self.pieces[1:-1] for x in range(lo, hi + 1)}
 
-    def is_monotone(self) -> bool:
-        p = self.pieces
-        return all(s[1] + s[2] < t[0] + t[2] for s, t in zip(p, p[1:]))
-
     # -- monoid structure ---------------------------------------------------
 
     def __mul__(self, other):
@@ -242,9 +238,9 @@ def _image_lo(piece):
     return piece[0] + piece[2]
 
 
-def _by_image(a) -> list:
-    """a's pieces sorted by image, as the segment kernel takes a left factor."""
-    return sorted(a.pieces, key=_image_lo)
+def _by_image(pieces) -> list:
+    """Pieces sorted by image, as the segment kernel takes a left factor."""
+    return sorted(pieces, key=_image_lo)
 
 
 def compose_almost(a, b) -> AlmostMonotoneElement:
@@ -254,12 +250,7 @@ def compose_almost(a, b) -> AlmostMonotoneElement:
     pieces; the kernel's output, sorted back by domain and merged, is the
     result.
     """
-    return AlmostMonotoneElement._trusted(_composite(_by_image(a), b.pieces))
-
-
-def _composite(a_pieces, b_pieces) -> list:
-    """The maximal pieces of a then b, for a left factor given by its pieces sorted by image."""
-    return _merged(_kernel.compose_segments(a_pieces, b_pieces))
+    return AlmostMonotoneElement._trusted(_merged(_kernel.compose_segments(_by_image(a.pieces), b.pieces)))
 
 
 def inverse_almost(a) -> AlmostMonotoneElement:
@@ -289,7 +280,7 @@ def minimal_exceptions(elem) -> frozenset:
 
 def _removed_pieces(elem) -> list:
     """The inner pieces that minimal_exceptions removes, in domain order."""
-    if isinstance(elem, MonotoneElement):
+    if elem.is_monotone():
         return []
     later = []  # (first value, run) of the pieces after the current one
     pieces = []  # (piece, first value, run, first value of the next piece with that run), last piece first

@@ -239,6 +239,10 @@ class _PieceMap:
         """Every integer outside the range; its size grows with the gap widths."""
         return _run_points(self._ran_runs())
 
+    def is_monotone(self) -> bool:
+        p = self.pieces
+        return all(s[1] + s[2] < t[0] + t[2] for s, t in zip(p, p[1:]))
+
     def __repr__(self):
         return self.to_text()
 

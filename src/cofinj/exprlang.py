@@ -387,7 +387,7 @@ class Evaluator:
         if isinstance(node, Call):
             return self._call(node)
         if isinstance(node, Pair):
-            return (self._eval(node.left), self._eval(node.right))
+            return (_almost.canonicalize(self._eval(node.left)), _almost.canonicalize(self._eval(node.right)))
         if isinstance(node, SetLit):
             return frozenset(_almost.canonicalize(self._eval(n)) for n in node.items)
         if isinstance(node, Solve):

@@ -136,9 +136,7 @@ def _solve(a, b, within, left):
     if within is None:
         within = "almost" if either_almost else "monotone"
     if within == "almost":
-        # a left factor goes to the kernel sorted by image
-        by_image = partial(sorted, key=_almost._image_lo)
-        cells_of, pair, wrap = _almost_cells, _unused, _AM._trusted
+        by_image, cells_of, pair, wrap = _almost._by_image, _almost_cells, _unused, _AM._trusted
     elif within != "monotone":
         raise ValueError(f"unknown monoid {within!r}")
     elif either_almost:

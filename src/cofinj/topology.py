@@ -125,9 +125,13 @@ def _checked_pins(pins, elem, domain: str) -> frozenset:
     return pins
 
 
-def member(nbhd: BasicNeighborhood, elem) -> bool:
+def _check_nbhd(nbhd, name: str):
     if not isinstance(nbhd, BasicNeighborhood):
-        raise InvalidElementError(f"member's nbhd must be a neighborhood, got {nbhd!r}")
+        raise InvalidElementError(f"{name}'s nbhd must be a neighborhood, got {nbhd!r}")
+
+
+def member(nbhd: BasicNeighborhood, elem) -> bool:
+    _check_nbhd(nbhd, "member")
     _check_element(elem, "member")
     c = nbhd.center
     dom, ran = nbhd._runs
@@ -158,6 +162,8 @@ def _extent(elem, pins=()) -> int:
 
 def product_cover(a, b, pins):
     """Pin sets (F1, F2) with U_a(F1) * U_b(F2) contained in U_{a*b}(pins)."""
+    _check_element(a, "product_cover's a")
+    _check_element(b, "product_cover's b")
     pins = _checked_pins(pins, a * b, "dom of the product")
     # the escapes: a.inverse() applied to the domain gaps of b it is defined on
     escapes = set()
@@ -174,6 +180,7 @@ def inverse_cover(g, pins):
     monotone members out of g's range gaps, so for an almost-monotone g with
     range gaps the containment holds for the monotone members alone.
     """
+    _check_element(g, "inverse_cover's g")
     pins = _checked_pins(pins, g, "the domain")
     ginv = g.inverse()
     brackets = set()
@@ -254,6 +261,7 @@ def sample_member(nbhd: BasicNeighborhood, rng: random.Random):
     lists take time linear in the window width; an H draw grafts its
     permutations onto gap runs, so its cost follows the pieces.
     """
+    _check_nbhd(nbhd, "sample_member")
     draw = nbhd._draw
     if draw is None:
         draw = _plan(nbhd)

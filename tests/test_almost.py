@@ -174,6 +174,18 @@ def test_monotone_round_trip():
         assert to_monotone(from_monotone(m)) == m
 
 
+def test_either_class_answers_is_monotone():
+    rng = random.Random(2)
+    for _ in range(300):
+        m = random_element(rng, 3, 3)
+        # a segment element is monotone in either form, and converts to itself
+        assert m.is_monotone() and from_monotone(m).is_monotone()
+        assert to_monotone(m) == m
+        assert minimal_exceptions(m) == frozenset()
+        a = random_almost(rng)
+        assert a.is_monotone() == (minimal_exceptions(a) == frozenset())
+
+
 def test_canonicalize_picks_segment_form():
     assert canonicalize(from_monotone(shift(2))) == shift(2)
     assert canonicalize(SCRAMBLE) is SCRAMBLE
@@ -320,6 +332,7 @@ def test_minimal_exceptions_on_multi_point_pieces_matches_the_searches():
     assert seen > 500
 
 
+@pytest.mark.width
 def test_minimal_exceptions_cost_does_not_grow_with_piece_width():
     swap = unit_recompose(UnitDecomposition(((-1, -2), (-2, -1)), 0))
     for w in (10**4, 10**12):

@@ -242,6 +242,7 @@ def test_make_almost_rejects_non_integer_tails():
 BIG = "seg[(-inf..0,+0),(1..+inf,+1000000000000)]"
 
 
+@pytest.mark.width
 def test_piece_arithmetic_ignores_offsets_and_window_width():
     """Each call takes under 10 ms, fastest of three; the window walk never finishes on these."""
     big = 10**12
@@ -258,6 +259,7 @@ def test_piece_arithmetic_ignores_offsets_and_window_width():
         assert ms < 10, f"{ms:.1f} ms"
 
 
+@pytest.mark.width
 def test_units_cost_what_their_support_costs():
     """unit_recompose grafts the support onto the shift's pieces: under 10 ms at any span or shift."""
     big = 10**12

@@ -4,6 +4,7 @@ import pytest
 
 from cofinj.core import IdempotentGaps, InvalidElementError, identity, parse_element
 from cofinj.bicyclic import BicyclicWord, eval_word, gen, normal_form
+from cofinj.exprlang import Evaluator
 
 
 def test_generator_definitions():
@@ -78,6 +79,17 @@ def test_faithfulness_short_words():
 def test_distinct_copies_have_distinct_generators():
     gens = {(n, o): (gen(n, o, "p"), gen(n, o, "q")) for n in range(-5, 6) for o in "+-"}
     assert len(set(gens.values())) == len(gens)
+
+
+def test_words_evaluate_print_and_reject_bad_letters():
+    for w in (BicyclicWord(2, "-", "pqq"), BicyclicWord(-1, "+", "qp"), BicyclicWord(0, "+", "")):
+        assert w.element() == eval_word(w)
+        # the text is a statement of the expression language for the same element
+        assert Evaluator().run(w.to_text()) == w.element()
+    assert BicyclicWord(2, "-", "pqq").to_text() == "a-(2) * b-(2) * b-(2)"
+    assert BicyclicWord(0, "+", "").to_text() == "id"
+    with pytest.raises(ValueError, match="letters must be 'p' or 'q', got 'x'"):
+        eval_word(BicyclicWord(0, "+", "px"))
 
 
 def test_idempotent_ladder():

@@ -31,6 +31,15 @@ def test_signature_examples():
         assert mgc_signature(shift(k)) == Signature(k, k)
 
 
+def test_negated_signature_is_the_inverse_image():
+    rng = random.Random(4)
+    for _ in range(100):
+        for e in (random_element(rng, 2, 3), am.random_almost(rng)):
+            s = mgc_signature(e)
+            assert -s == mgc_signature(e.inverse())
+            assert s + -s == Signature(0, 0)
+
+
 def test_signature_of_almost_elements():
     rng = random.Random(1)
     for _ in range(100):

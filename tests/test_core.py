@@ -484,6 +484,32 @@ def test_text_writers_match_the_f_string_reference():
     assert sum(len(e.pieces) > 3 for e in elems) > 100
 
 
+def test_spec_aliases_match_their_methods():
+    rng = random.Random(23)
+    for _ in range(100):
+        m, n = random_element(rng, 2, 2), random_element(rng, 2, 2)
+        # the aliases take an element of either class
+        for a, b in ((m, n), (random_almost(rng), m), (m, random_almost(rng))):
+            assert core.compose(a, b) == a * b
+            assert core.inverse(a) == a.inverse()
+            assert all(core.apply(a, x) == a(x) for x in range(-8, 9))
+            assert core.is_idempotent(a) is a.is_idempotent()
+            assert core.dom_gaps(a) == a.dom_gaps() and core.ran_gaps(a) == a.ran_gaps()
+            assert (core.left_offset(a), core.right_offset(a)) == (a.left_offset, a.right_offset)
+    e = IdempotentGaps({0, 3}).to_element()
+    assert core.is_idempotent(e) and core.dom_gaps(e) == core.ran_gaps(e) == {0, 3}
+
+
+def test_idempotent_gaps_take_only_idempotents_and_stay_fixed():
+    with pytest.raises(InvalidElementError, match="element is not an idempotent"):
+        IdempotentGaps.from_element(shift(1))
+    g = IdempotentGaps({0, 3})
+    for name in ("runs", "gaps"):
+        with pytest.raises(AttributeError, match="IdempotentGaps is immutable"):
+            setattr(g, name, ())
+    assert g.runs == ((0, 0), (3, 3))
+
+
 def test_parse_rejects_garbage():
     for text in ["seg[]", "seg[(1..2,+0)]", "seg[(-inf..0,+0)(1..+inf,+0)]", "shift()", "E{1,}"]:
         with pytest.raises(InvalidElementError):

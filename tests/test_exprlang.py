@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 
@@ -189,6 +190,21 @@ def test_mixed_monoid_products_canonicalize(ev):
     # a non-monotone almost element times its inverse is an idempotent in segment form
     sq = ev.run("am[d=0,L=0,u=6,R=0; 1->5, 2->3, 3->4] * am[d=0,L=0,u=6,R=0; 1->5, 2->3, 3->4]^-1")
     assert sq == IdempotentGaps({4, 5}).to_element()
+
+
+def test_pairs_canonicalize_their_members(ev, capsys):
+    # an almost literal of a monotone map and its segment form are one pair member
+    stmt = "{(am[d=0,L=0,u=1,R=0;], id), (id, id)}"
+    assert ev.run(stmt) == frozenset({(identity(), identity())})
+    assert format_value(ev.run(stmt)) == "{(id, id)}"
+    assert ev.run(format_value(ev.run(stmt))) == ev.run(stmt)
+    assert cli.main(["--eval", stmt]) == 0
+    assert capsys.readouterr().out == "{(id, id)}\n"
+    assert cli.main(["--format", "json", "--eval", stmt]) == 0
+    items = json.loads(capsys.readouterr().out)["items"]
+    assert len(items) == 1 and [v["type"] for v in items[0]["items"]] == ["monotone", "monotone"]
+    # a bare literal keeps its class
+    assert isinstance(ev.run("am[d=0,L=0,u=1,R=0;]"), am.AlmostMonotoneElement)
 
 
 # -- printing round trips ----------------------------------------------------------

@@ -294,6 +294,7 @@ def _eval(text):
     return out.getvalue().strip()
 
 
+@pytest.mark.width
 def test_relations_membership_and_certificates_ignore_gap_width():
     """A 10^12-wide range gap costs what a narrow one costs.
 
@@ -303,9 +304,8 @@ def test_relations_membership_and_certificates_ignore_gap_width():
     signature_preimage and witness_idempotent have no form.  The one
     solution of a * x == id is found without listing the 10^12 points of
     its cell, in either monoid, because the cell has no room for extra
-    values; '<=' compares the idempotents' gap runs.  audit_sep is
-    left out: its sampler draws members point by point across the gap, and
-    those seeded draws are part of the CLI output.
+    values; '<=' compares the idempotents' gap runs.  The audits draw
+    monotone W members on runs, so they cost their pieces too.
     """
     a = parse_element(BIG)
     ainv = a.inverse()
@@ -345,6 +345,9 @@ def test_relations_membership_and_certificates_ignore_gap_width():
         (f"solve ?*{BIG}^-1 = id", f"{{{BIG}}}"),
         (f"seg[(-inf..0,+0),({big + 1}..+inf,+0)] <= id", "true"),
         (f"id <= seg[(-inf..0,+0),({big + 1}..+inf,+0)]", "false"),
+        (f"audit_sep({BIG}, {BIG}^-1)", "true"),
+        (f"audit_cover({BIG}, {BIG}^-1; 0)", "true"),
+        (f"audit_inv({BIG}; 0)", "true"),
     ]
     for fn, want in direct + [(lambda t=t: _eval(t), w) for t, w in via_cli]:
         ms, got = _fastest_ms(fn)
@@ -352,6 +355,7 @@ def test_relations_membership_and_certificates_ignore_gap_width():
         assert ms < 10, f"{ms:.1f} ms"
 
 
+@pytest.mark.width
 def test_h_draws_ignore_gap_width_after_the_plan():
     """An H draw grafts its permutations onto the gap runs: under 1 ms per draw, fastest of three.
 
@@ -426,6 +430,7 @@ def test_idempotents_match_point_sets(pe, pf, extra, i, seed):
         assert got == want
 
 
+@pytest.mark.width
 def test_idempotents_ignore_gap_width():
     """A 10^12-wide gap run at 2^60 costs what a narrow one costs: under 1 ms, fastest of three."""
     big = 10**12

@@ -205,6 +205,7 @@ def test_candidates_are_checked_under_python_O(within, cells):
         assert f"AssertionError: a solver candidate fails {equation}: " in proc.stderr, side
 
 
+@pytest.mark.width
 @pytest.mark.parametrize("width", [10**12, 2**60])
 @pytest.mark.parametrize("within", ["monotone", "almost"])
 def test_left_solve_reads_the_turned_cells_as_runs(monkeypatch, within, width):
@@ -264,6 +265,7 @@ def test_solve_rejects_a_non_element(solve, value):
 WIDE_GAP = 10**12
 
 
+@pytest.mark.width
 @pytest.mark.parametrize("offset", [0, 2**60])
 @pytest.mark.parametrize("within", ["monotone", "almost"])
 @pytest.mark.parametrize("solve", [solve_right, solve_left])

@@ -87,8 +87,8 @@ def test_one_pass_matches_two_passes_on_almost_pieces_by_image():
     for _ in range(3000):
         a = random_almost(rng, 2, 5, 6)
         b = random_almost(rng, 2, 5, 6) if rng.random() < 0.7 else as_almost(random_element(rng, 3, 2))
-        pairs.append((_by_image(a), b.pieces))
-        pairs.append((_by_image(a), a.inverse().pieces))
+        pairs.append((_by_image(a.pieces), b.pieces))
+        pairs.append((_by_image(a.pieces), a.inverse().pieces))
     assert any(a != sorted(a) for a, _ in pairs)
     assert _same_as_reference(pairs) > 100
 

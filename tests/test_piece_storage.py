@@ -175,6 +175,7 @@ def _wide_unit_product(width):
     return swap * parse_element(f"seg[(-inf..0,+0),(1..{width},+1),({width + 1}..+inf,+2)]")
 
 
+@pytest.mark.width
 def test_wide_copies_and_pickles_cost_what_the_pieces_cost():
     # widths in increasing order: a copy that grows with the width fails at 10^5, before 10^12 exhausts memory
     for width in (10**5, 10**12):

@@ -73,6 +73,38 @@ def test_member_and_separate_check_their_elements():
             assert str(err.value) == f"each argument of separate must be an element, got {v!r}"
 
 
+def test_covers_and_sampling_check_their_arguments():
+    nb = BasicNeighborhood(identity(), ())
+    rng = random.Random(0)
+    # a neighborhood given where an element is expected, too
+    for v in (5, None, "id", nb):
+        # each element is checked before the pins, which are bad here as well
+        cases = [
+            (lambda: product_cover(v, identity(), [True]), "product_cover's a"),
+            (lambda: product_cover(identity(), v, [True]), "product_cover's b"),
+            (lambda: product_cover(v, v, None), "product_cover's a"),
+            (lambda: audit_product_cover(identity(), v, [], rng), "product_cover's b"),
+            (lambda: inverse_cover(v, [True]), "inverse_cover's g"),
+            (lambda: audit_inverse_cover(v, [], rng), "inverse_cover's g"),
+        ]
+        for test, name in cases:
+            with pytest.raises(InvalidElementError) as err:
+                test()
+            assert str(err.value) == f"{name} must be an element, got {v!r}"
+    for v in (5, None, "id", identity()):
+        with pytest.raises(InvalidElementError) as err:
+            sample_member(v, rng)
+        assert str(err.value) == f"sample_member's nbhd must be a neighborhood, got {v!r}"
+
+
+def test_neighborhoods_are_immutable():
+    nb = BasicNeighborhood(identity(), {0})
+    for name in ("center", "pins", "flavor", "_draw"):
+        with pytest.raises(AttributeError, match="BasicNeighborhood is immutable"):
+            setattr(nb, name, None)
+    assert (nb.center, nb.pins, nb.flavor) == (identity(), {0}, "W")
+
+
 def test_neighborhoods_compare_their_centers_as_maps():
     rng = random.Random(12)
     for flavor in ("W", "H"):

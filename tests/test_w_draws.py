@@ -125,6 +125,7 @@ def _fastest(f, repeat=3):
     return best, out
 
 
+@pytest.mark.width
 @pytest.mark.parametrize("k", WIDE)
 def test_draws_cost_their_pieces_not_their_widths(k):
     jump = parse_element(f"seg[(-inf..0,+0),(1..+inf,+{k})]")
@@ -140,6 +141,7 @@ def test_draws_cost_their_pieces_not_their_widths(k):
             assert len(x.pieces) < 40
 
 
+@pytest.mark.width
 @pytest.mark.parametrize("k", WIDE)
 def test_audits_at_any_width(k):
     a = parse_element(f"seg[(-inf..0,+0),(1..+inf,+{k})]")
