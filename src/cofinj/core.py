@@ -54,6 +54,9 @@ from . import _kernel
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
+# An element whose window (``_window``) holds more points than this prints as its pieces
+_REPR_MAX_POINTS = 64
+
 
 class InvalidElementError(ValueError):
     """Raised when data does not describe a valid element of the monoid."""
@@ -244,7 +247,11 @@ class _PieceMap:
         return all(s[1] + s[2] < t[0] + t[2] for s, t in zip(p, p[1:]))
 
     def __repr__(self):
-        return self.to_text()
+        # the text lists gap or middle points inside the window, so a wide one prints the pieces
+        lo, hi = _window(self.pieces)
+        if hi - lo < _REPR_MAX_POINTS:
+            return self.to_text()
+        return f"{type(self).__name__}({self.pieces})"
 
 
 _lo = itemgetter(0)
@@ -772,13 +779,6 @@ def _segment_list(body: str):
     if not n or skeleton != ("(..,)," * n)[:-1]:
         return None
     fields = body[1:-1].replace("),(", ",").replace("..", ",").split(",")
-    if fields[0] == "-inf" and fields[-2] == "+inf":
-        try:
-            bounds = [NEG_INF, *map(int, fields[1:-2]), POS_INF, int(fields[-1])]
-            return zip(*[iter(bounds)] * 3)
-        except ValueError:
-            pass
-    # segments out of order, an infinity inside the list or a malformed field
     try:
         return [
             (NEG_INF if lo == "-inf" else int(lo), POS_INF if hi == "+inf" else int(hi), int(off))

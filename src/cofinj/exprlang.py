@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import almost as _almost
 from . import bicyclic as _bicyclic
 from . import congruence as _congruence
 from . import green as _green
 from . import topology as _topology
-from .core import InvalidElementError, _is_int, _PieceMap, _runs_within, identity, parse_element, shift
+from .core import IdempotentGaps, InvalidElementError, _is_int, _PieceMap, identity, parse_element, shift
 
 # The deepest nesting of '(', '{' and calls that a statement may have.  Each
 # level costs the parser, the evaluator and the printer a few Python frames,
@@ -241,6 +241,8 @@ class _Parser:
     def parse_unary(self, allow_hole: bool):
         node = self.parse_atom(allow_hole)
         while self.peek().kind == "INV":
+            if isinstance(node, Hole):
+                self.fail("'?' cannot be inverted")
             self.next()
             node = Inv(node)
         return node
@@ -410,8 +412,8 @@ class Evaluator:
         if name == "<=":
             for v in args:
                 _need_idempotent(v, "'<='")
-            # e <= f exactly when every gap of f is a gap of e
-            return _runs_within(args[1]._dom_runs(), args[0]._dom_runs())
+            e, f = map(IdempotentGaps.from_element, args)
+            return e.leq(f)
         if name not in _FUNCTIONS and name not in _RELATIONS:
             raise EvalError(f"unknown function {name!r}")
         if name in ("in", "sample"):
@@ -494,9 +496,7 @@ def _sort_key(v):
         return (0, str(v))
     if isinstance(v, int):
         return (1, v)
-    if isinstance(v, _PieceMap):
-        return (2, _almost.canonicalize(v).to_text())
-    return (3, format_value(v))
+    return (2 if isinstance(v, _PieceMap) else 3, format_value(v))
 
 
 def format_value(v) -> str:

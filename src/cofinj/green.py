@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import partial
 from itertools import groupby
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from . import _kernel
 from .core import (
@@ -85,9 +85,6 @@ def h_class_members(elem: MonotoneElement, alignments) -> list:
 
 
 # -- finite equation solving ------------------------------------------------------
-
-
-_pieces_key = attrgetter("pieces")
 
 
 def solve_right(a, b, within: str | None = None):
@@ -162,12 +159,12 @@ def _solve(a, b, within, left):
     # explicit raises, so that the checks also run under python -O
     if _merged(want) != list(b.pieces):
         raise AssertionError(f"a solver candidate fails {equation}: {root!r}")
-    out = [wrap(root)]
+    out = [root]
     for pieces in candidates:
         if product(pieces) != want:
             raise AssertionError(f"a solver candidate fails {equation}: {pieces!r}")
-        out.append(wrap(pieces))
-    return tuple(sorted(out, key=_pieces_key))
+        out.append(pieces)
+    return tuple(map(wrap, sorted(out)))
 
 
 def _as_is(pieces):

@@ -56,6 +56,7 @@ from .core import (
     _check_int,
     _gaps_between,
     _overlaps,
+    _run_size,
     _runs_within,
     _window,
 )
@@ -431,7 +432,7 @@ def _cut(runs, ends, flags, geo, rng) -> list:
 
 def _spread(runs, qlo, qhi, rng) -> list:
     """Pieces sending the runs increasingly into qlo + 1..qhi - 1; exact uniform draws split the slack."""
-    slack = qhi - qlo - 1 - sum([hi - lo + 1 for lo, hi in runs])
+    slack = qhi - qlo - 1 - _run_size(runs)
     shares = sorted([rng.randrange(slack + 1) for _ in runs]) if slack else [0] * len(runs)
     out = []
     v = qlo + 1  # the lowest value left for the next run, before its share of the slack

@@ -9,8 +9,6 @@ import time
 from itertools import combinations, filterfalse, permutations, product
 from operator import attrgetter
 
-import pytest
-
 from cofinj import _kernel
 from cofinj.almost import AlmostMonotoneElement, _middle_dict, compose_almost, inverse_almost, make_almost
 from cofinj.core import (
@@ -24,24 +22,10 @@ from cofinj.core import (
     _EGAPS_RE,
     _SHIFT_RE,
     _collapse_cached,
-    _PieceMap,
-    element_from_gaps,
     identity,
     normalize,
     shift,
 )
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _pieces_as_repr():
-    """Elements print as their piece tuples in a module that imports this fixture.
-
-    A failing assert prints its elements, and the canonical text of a
-    2^60-wide window would not fit in memory.
-    """
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(_PieceMap, "__repr__", lambda self: f"{type(self).__name__}({self.pieces})")
-        yield
 
 
 def _fastest_ms(fn):
@@ -197,23 +181,6 @@ def point_monotonizers(elem):
     left = IdempotentGaps(elem.dom_gaps() | exc)
     right = IdempotentGaps(elem.ran_gaps() | {elem(x) for x in exc})
     return left, right, left.meet(right)
-
-
-def enumerate_monotone(dom_positions, max_dom, ran_positions, max_ran, offsets):
-    """Every canonical element with gap sets inside the given position pools.
-
-    An element is determined by (domain gaps, range gaps, left tail offset),
-    so this walks the whole parameter box; both resulting tail offsets must
-    lie in ``offsets``.
-    """
-    offsets = sorted(offsets)
-    for nd in range(max_dom + 1):
-        for dgaps in combinations(dom_positions, nd):
-            for nr in range(max_ran + 1):
-                for rgaps in combinations(ran_positions, nr):
-                    for left in offsets:
-                        if left + nr - nd in offsets:
-                            yield element_from_gaps(dgaps, rgaps, left)
 
 
 # -- pointwise checks on all of Z, for elements of any width ---------------------------

@@ -10,7 +10,6 @@ from cofinj.core import (
     InvalidElementError,
     MonotoneElement,
     _unpickled,
-    identity,
     random_element,
     shift,
 )
@@ -18,7 +17,6 @@ from cofinj.almost import (
     AlmostMonotoneElement,
     UnitDecomposition,
     almost_identity,
-    as_almost,
     canonicalize,
     compose_almost,
     from_monotone,

@@ -1,4 +1,3 @@
-import io
 import json
 
 import pytest
@@ -31,6 +30,8 @@ def test_eval_eval_error_exit_code(capsys):
 ONE_SHOT = [
     (["--eval", "id $"], (2, "", "parse error: 1:4: unexpected character '$'\n")),
     (["--eval", "solve ? = id"], (1, "", "error: the known side of a solve statement is empty\n")),
+    (["--eval", "solve ?^-1 * id = id"], (2, "", "parse error: 1:8: '?' cannot be inverted\n")),
+    (["--eval", "solve ?^-1 * ? = id"], (2, "", "parse error: 1:8: '?' cannot be inverted\n")),
     (["--eval", "{true, false}"], (0, "{false, true}\n", "")),
     (["--eggbox", "1,9"], (1, "", "error: shift_window must be in [0, 8]\n")),
 ]

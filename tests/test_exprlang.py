@@ -163,6 +163,17 @@ def test_solve_statements(ev):
         ev.run("? * id")
 
 
+@pytest.mark.parametrize("stmt, col", [
+    ("solve ?^-1 * id = id", 8),
+    ("solve ?^-1 * ? = id", 8),
+    ("solve id * ?^-1^-1 = id", 13),
+])
+def test_an_inverted_hole_is_a_parse_error_at_its_inverse(ev, stmt, col):
+    with pytest.raises(ParseError) as e:
+        ev.run(stmt)
+    assert (e.value.message, e.value.line, e.value.col) == ("'?' cannot be inverted", 1, col)
+
+
 def test_neighborhood_forms(ev):
     nb = ev.run("nbhd(id; 0, 5)")
     assert isinstance(nb, BasicNeighborhood) and nb.flavor == "W"
@@ -186,7 +197,10 @@ def test_sampling_forms_are_seed_deterministic():
 def test_mixed_monoid_products_canonicalize(ev):
     got = ev.run("am[d=0,L=0,u=6,R=0; 1->5, 2->3, 3->4] * a+(0)")
     assert isinstance(got, am.AlmostMonotoneElement)
-    assert ev.run("am[d=0,L=0,u=3,R=0; 1->1, 2->2]") == identity() or True
+    # an almost literal of the identity map stays in its class, with the identity's pieces
+    ident = ev.run("am[d=0,L=0,u=3,R=0; 1->1, 2->2]")
+    assert isinstance(ident, am.AlmostMonotoneElement)
+    assert ident.pieces == identity().pieces
     # a non-monotone almost element times its inverse is an idempotent in segment form
     sq = ev.run("am[d=0,L=0,u=6,R=0; 1->5, 2->3, 3->4] * am[d=0,L=0,u=6,R=0; 1->5, 2->3, 3->4]^-1")
     assert sq == IdempotentGaps({4, 5}).to_element()

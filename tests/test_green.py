@@ -33,7 +33,7 @@ from cofinj import almost as am
 from cofinj import green
 from cofinj.topology import BasicNeighborhood
 
-from helpers import _fastest_ms, by_pieces, enumerate_monotone, ref_solve_right_almost, ref_solve_right_monotone
+from helpers import _fastest_ms, by_pieces, ref_solve_right_almost, ref_solve_right_monotone
 
 A0P = parse_element("seg[(-inf..0,+0),(1..+inf,+1)]")
 

@@ -12,9 +12,9 @@ elements only: a solve lists every solution, and ``E{...}`` and ``am[...]``
 text list every gap and middle point.
 
 Runs are derandomized and keep no example database, so the suite is
-deterministic.  While it runs, elements print as their piece tuples: the
-canonical text of a 10^12-wide element lists every point, and a failing law
-would print its arguments.
+deterministic.  A failing law prints its arguments; an element whose window
+holds more than 64 points prints as its piece tuple (``core._PieceMap.__repr__``),
+since its canonical text would list every point.
 """
 
 import itertools
@@ -28,7 +28,7 @@ from cofinj.core import NEG_INF, POS_INF, MonotoneElement, parse_element
 from cofinj.exprlang import Call, Evaluator, Lit, format_value
 from cofinj.green import l_equiv, r_equiv, solve_left, solve_right
 
-from helpers import _pieces_as_repr, assert_pointwise, breaks, image_breaks, pull_back  # noqa: F401
+from helpers import assert_pointwise, breaks, image_breaks, pull_back
 
 WIDE = 2**60
 BIG = 10**12

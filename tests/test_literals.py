@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from cofinj import almost as am
 from cofinj.core import NEG_INF, POS_INF, InvalidElementError, MonotoneElement, parse_element, shift
 
-from helpers import _parse_almost_by_regex, _parse_element_by_regex, _pieces_as_repr  # noqa: F401
+from helpers import _parse_almost_by_regex, _parse_element_by_regex
 
 WIDE = 2**60
 BIG = 10**12

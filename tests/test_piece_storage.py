@@ -36,7 +36,7 @@ from cofinj.core import (
 from cofinj.green import solve_left, solve_right
 from cofinj.topology import BasicNeighborhood, sample_member
 
-from helpers import _fastest_ms, _pieces_as_repr, assert_pointwise, breaks, pull_back  # noqa: F401
+from helpers import _fastest_ms, assert_pointwise, breaks, pull_back
 
 BIG = 2**60
 
@@ -248,6 +248,37 @@ def test_old_pickles_still_load():
     m = pickle.loads(OLD_MONOTONE)
     assert m == parse_element("seg[(-inf..0,+0),(2..+inf,+1)]")
     assert all(type(p) is tuple for p in m.pieces)
+
+
+# -- repr -------------------------------------------------------------------------------
+
+
+def _swap(x, y):
+    """The almost-monotone unit that swaps x and y."""
+    return am.unit_recompose(am.UnitDecomposition(((x, y), (y, x)), 0))
+
+
+@pytest.mark.parametrize("points, as_text", [(64, True), (65, False)])
+def test_repr_is_the_text_up_to_a_64_point_window(points, as_text):
+    n = points - 1  # every element below has the window (0, n)
+    elems = [
+        IdempotentGaps(range(1, n)).to_element(),
+        parse_element(f"seg[(-inf..0,+0),({n}..+inf,+1)]"),
+        _swap(1, n - 1),
+    ]
+    assert [type(e) for e in elems] == [MonotoneElement, MonotoneElement, am.AlmostMonotoneElement]
+    for e in elems:
+        assert core._window(e.pieces) == (0, n)
+        assert repr(e) == (e.to_text() if as_text else f"{type(e).__name__}({e.pieces})")
+
+
+@pytest.mark.width
+def test_wide_reprs_print_their_pieces():
+    gap = parse_element(f"seg[(-inf..0,+0),({10**12 + 1}..+inf,+0)]")
+    for e in (gap, gap * shift(BIG), _swap(0, 10**12) * shift(BIG), _wide_unit_product(10**12)):
+        ms, text = _fastest_ms(lambda: repr(e))
+        assert text == f"{type(e).__name__}({e.pieces})"
+        assert len(text) < 1024 and ms < 10, (len(text), ms)
 
 
 # -- evaluation ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ widths.  Three things are checked here:
 """
 
 import random
-import time
 from itertools import islice
 
 import pytest
@@ -35,7 +34,7 @@ from cofinj.core import (
 )
 from cofinj.topology import BasicNeighborhood, sample_member
 
-from helpers import assert_w_member, equal_outside, ref_box_members, ref_w_monotone_script
+from helpers import _fastest_ms, assert_w_member, equal_outside, ref_box_members, ref_w_monotone_script
 
 BOX = 2
 CENTERS = [
@@ -116,15 +115,6 @@ def test_a_draw_may_leave_any_gap_past_a_pin(monkeypatch):
 WIDE = [10**12, 2**60]
 
 
-def _fastest(f, repeat=3):
-    best = float("inf")
-    for _ in range(repeat):
-        t = time.perf_counter()
-        out = f()
-        best = min(best, time.perf_counter() - t)
-    return best, out
-
-
 @pytest.mark.width
 @pytest.mark.parametrize("k", WIDE)
 def test_draws_cost_their_pieces_not_their_widths(k):
@@ -135,8 +125,8 @@ def test_draws_cost_their_pieces_not_their_widths(k):
         rng = random.Random(k % 97)
         sample_member(nbhd, rng)  # builds the plan
         for _ in range(5):
-            best, x = _fastest(lambda: sample_member(nbhd, rng))
-            assert best < 1e-3, (c.pieces, pins, best)
+            best, x = _fastest_ms(lambda: sample_member(nbhd, rng))
+            assert best < 1, (c.pieces, pins, best)
             assert_w_member(nbhd, x)
             assert len(x.pieces) < 40
 
@@ -151,9 +141,9 @@ def test_audits_at_any_width(k):
         (topology.audit_product_cover, (a, a, {0})),
     ]
     for audit, args in calls:
-        best, verdict = _fastest(lambda: audit(*args, random.Random(0)))
+        best, verdict = _fastest_ms(lambda: audit(*args, random.Random(0)))
         assert verdict is True
-        assert best < 1e-2, (audit.__name__, best)
+        assert best < 10, (audit.__name__, best)
 
 
 # -- planted faults ---------------------------------------------------------------------
