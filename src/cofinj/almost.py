@@ -19,9 +19,10 @@ window (0, 1).
 
 Monoid structure (compose/inverse) matches the monotone case pointwise, and
 the monotone elements embed via ``from_monotone`` / ``to_monotone``, which
-pass the piece tuple across.  Composition sorts the left factor's pieces by
-image and merge-joins them with the right factor's pieces in the segment
-kernel that monotone ``*`` uses, so its cost is O(p log p) in the pieces,
+pass the piece tuple across.  Composition passes both factors' pieces, in
+domain order, to the segment kernel that monotone ``*`` uses.  The kernel
+finds the right factor's pieces under each left piece's image by bisection
+once the left images turn back, so the cost is O(p log p) in the pieces,
 independent of the window width and the offsets.
 
 Outside data is validated once, where it enters: the constructor,
@@ -53,7 +54,6 @@ from .core import (
     _inverted,
     _is_int,
     _literal,
-    _merged,
     _PieceMap,
     _run_points,
     _translation_off,
@@ -234,23 +234,13 @@ def almost_identity() -> AlmostMonotoneElement:
     return from_monotone(identity())
 
 
-def _image_lo(piece):
-    return piece[0] + piece[2]
-
-
-def _by_image(pieces) -> list:
-    """Pieces sorted by image, as the segment kernel takes a left factor."""
-    return sorted(pieces, key=_image_lo)
-
-
 def compose_almost(a, b) -> AlmostMonotoneElement:
     """a then b, pointwise identical to the monotone composition; either may be monotone.
 
-    a's pieces, sorted by image, go through the segment kernel against b's
-    pieces; the kernel's output, sorted back by domain and merged, is the
-    result.
+    Both factors' pieces go through the segment kernel in domain order, as
+    they are stored, and the kernel's output is the result's maximal pieces.
     """
-    return AlmostMonotoneElement._trusted(_merged(_kernel.compose_segments(_by_image(a.pieces), b.pieces)))
+    return AlmostMonotoneElement._trusted(_kernel.compose_segments(a.pieces, b.pieces))
 
 
 def inverse_almost(a) -> AlmostMonotoneElement:

@@ -54,7 +54,8 @@ from . import _kernel
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
-# An element whose window (``_window``) holds more points than this prints as its pieces
+# An element whose window (``_window``) holds more points than this prints as its
+# pieces, and an idempotent whose gap runs span more points prints as its runs
 _REPR_MAX_POINTS = 64
 
 
@@ -311,19 +312,9 @@ def _translation_off(runs, k: int = 0) -> list:
     return pieces
 
 
-def _merged(pieces) -> list:
-    """Maximal pieces of (lo, hi, offset) pieces with disjoint domains, given in any order.
-
-    Every map built from finitely many pieces is built here, in O(n log n) in
-    its pieces, except the solvers' candidates, which green._extensions builds
-    in domain order.
-    """
-    return _kernel.merge_pieces(sorted(pieces))
-
-
 def _graft(pieces, points) -> list:
-    """Maximal pieces of the map extended by (x, value) points outside its domain and range."""
-    return _merged([*pieces, *[(x, x, v - x) for x, v in points]])
+    """Maximal pieces of the map extended by (x, value) points outside its domain and range, in O(n log n)."""
+    return _kernel.merge_pieces(sorted([*pieces, *[(x, x, v - x) for x, v in points]]))
 
 
 class MonotoneElement(_PieceMap):
@@ -703,7 +694,10 @@ class IdempotentGaps:
         return "E{" + ",".join(map(str, _run_ints(self.runs))) + "}"
 
     def __repr__(self):
-        return self.to_text()
+        # the text lists every gap point, so gaps that span a wide stretch print as runs
+        if not self.runs or self.runs[-1][1] - self.runs[0][0] < _REPR_MAX_POINTS:
+            return self.to_text()
+        return f"{type(self).__name__}(runs={self.runs})"
 
 
 def idempotent_leq(eps: IdempotentGaps, iota: IdempotentGaps) -> bool:

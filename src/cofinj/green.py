@@ -32,7 +32,6 @@ from .core import (
     _image_gaps,
     _inverted,
     _lo,
-    _merged,
     _overlaps,
     _run_ints,
     _runs_within,
@@ -114,18 +113,16 @@ def solve_left(a, b, within: str | None = None):
 def _solve(a, b, within, left):
     """The solutions of x * a == b (``left``) or a * x == b, sorted by their pieces.
 
-    The monoid is picked once, as data: its cells, its pairing rule, the
-    order in which a left factor goes to the kernel and the wrapper of a
-    candidate that passes.  Cells are read as for a right problem, with
-    free points in ran(a)'s gaps; a left problem reads them off the forced
-    map turned around, with dom(a)'s gaps free, and swaps their two sides.
+    The monoid is picked once, as data: its cells, its pairing rule and the
+    wrapper of a candidate that passes.  Cells are read as for a right
+    problem, with free points in ran(a)'s gaps; a left problem reads them
+    off the forced map turned around, with dom(a)'s gaps free, and swaps
+    their two sides.
 
     Every candidate goes through the full product with a in the kernel, and
-    only one that passes is wrapped.  The root, the forced map, passes when
-    its product, merged, is b.  A solution differs from it only by points
-    the product does not read (off ran(a) on the right, with images off
-    dom(a) on the left), and the kernel splits its output only where the map
-    it reads does, so every other candidate must give the root's raw product.
+    only one that passes is wrapped.  Both factors go in domain order, so
+    the kernel's output is the product's maximal pieces, and a candidate
+    passes when that output equals b's pieces.
     """
     _check_element(a, "a")
     _check_element(b, "b")
@@ -133,31 +130,31 @@ def _solve(a, b, within, left):
     if within is None:
         within = "almost" if either_almost else "monotone"
     if within == "almost":
-        by_image, cells_of, pair, wrap = _almost._by_image, _almost_cells, _unused, _AM._trusted
+        cells_of, pair, wrap = _almost_cells, _unused, _AM._trusted
     elif within != "monotone":
         raise ValueError(f"unknown monoid {within!r}")
     elif either_almost:
         raise InvalidElementError("the monotone monoid takes monotone elements")
     else:
-        by_image, cells_of, pair, wrap = _as_is, _monotone_cells, _increasing, MonotoneElement._trusted
+        cells_of, pair, wrap = _monotone_cells, _increasing, MonotoneElement._trusted
     compose = _kernel.compose_segments
     if left:
         if not _runs_within(a._ran_runs(), b._ran_runs()):
             return ()
         forced = b * a.inverse()
         cells = [(values, points) for points, values in cells_of(a._dom_runs(), _inverted(forced.pieces))]
-        product, equation = (lambda x: compose(by_image(x), a.pieces)), "x * a == b"
+        product, equation = (lambda x: compose(x, a.pieces)), "x * a == b"
     else:
         if not _runs_within(a._dom_runs(), b._dom_runs()):
             return ()
         forced = a.inverse() * b
         cells = cells_of(a._ran_runs(), forced.pieces)
-        product, equation = partial(compose, by_image(a.pieces)), "a * x == b"
+        product, equation = partial(compose, a.pieces), "a * x == b"
     candidates = _extensions(forced.pieces, cells, pair)
     root = next(candidates)
     want = product(root)
     # explicit raises, so that the checks also run under python -O
-    if _merged(want) != list(b.pieces):
+    if want != list(b.pieces):
         raise AssertionError(f"a solver candidate fails {equation}: {root!r}")
     out = [root]
     for pieces in candidates:
@@ -165,11 +162,6 @@ def _solve(a, b, within, left):
             raise AssertionError(f"a solver candidate fails {equation}: {pieces!r}")
         out.append(pieces)
     return tuple(map(wrap, sorted(out)))
-
-
-def _as_is(pieces):
-    """Monotone pieces in domain order, which is their image order too."""
-    return pieces
 
 
 def _monotone_cells(free, pieces):

@@ -105,12 +105,16 @@ class BasicNeighborhood:
         return hash((self.flavor, self.pins, self.center.pieces))
 
     def to_text(self) -> str:
-        name = "nbhd" if self.flavor == "W" else "nbhd_h"
-        pins = ", ".join(str(p) for p in sorted(self.pins))
-        return f"{name}({_almost.canonicalize(self.center).to_text()}; {pins})"
+        return self._written(_almost.canonicalize(self.center).to_text())
 
     def __repr__(self):
-        return self.to_text()
+        # the center's repr is its text up to a 64-point window and its pieces beyond
+        return self._written(repr(_almost.canonicalize(self.center)))
+
+    def _written(self, center: str) -> str:
+        name = "nbhd" if self.flavor == "W" else "nbhd_h"
+        pins = ", ".join(str(p) for p in sorted(self.pins))
+        return f"{name}({center}; {pins})"
 
 
 def _checked_pins(pins, elem, domain: str) -> frozenset:

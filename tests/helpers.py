@@ -44,6 +44,30 @@ def by_pieces(elems) -> tuple:
     return tuple(sorted(elems, key=attrgetter("pieces")))
 
 
+class _Forged:
+    """Pickles as a call of ``fn`` on ``args``, as the library's own types do."""
+
+    def __init__(self, fn, args):
+        self.fn, self.args = fn, args
+
+    def __reduce__(self):
+        return (self.fn, self.args)
+
+
+def _wide_domain(e):
+    """x -> e(x - 2^60): the domain moves out by 2^60, built from e's data directly."""
+    wide = 2**60
+    if isinstance(e, MonotoneElement):
+        return MonotoneElement([(lo + wide, hi + wide, o - wide) for lo, hi, o in e.segments])
+    return make_almost(
+        e.left_end + wide,
+        e.left_offset - wide,
+        e.right_start + wide,
+        e.right_offset - wide,
+        {k + wide: v for k, v in e.middle.items()},
+    )
+
+
 def finite_bound(elem) -> int:
     m = 0
     if isinstance(elem, MonotoneElement):
@@ -897,30 +921,22 @@ def ref_sample_member(nbhd, rng):
 
 # -- the two-pass kernel and the call-per-segment checks ---------------------------------
 #
-# _kernel.compose_segments merges each piece as it emits it, and
-# core._check_canonical and core.normalize check plain-int segments inline.
-# These are the versions they replaced: composition, then a separate merge
-# pass over the whole output; and a _check_segment call for every segment.
+# _kernel.compose_segments merges each piece as it emits it and walks or
+# bisects for the right factor's pieces, and core._check_canonical and
+# core.normalize check plain-int segments inline.  The references: every
+# piece of a against every piece of b, then a separate merge pass over the
+# whole output; and a _check_segment call for every segment.
 
 
 def ref_composite_pieces(a, b) -> list:
-    """The kernel's first pass: every overlap piece of 'a then b', in a's order, unmerged."""
+    """Every overlap piece of 'a then b', in a's order, unmerged; a may come in any order."""
     out = []
-    j = 0
-    nb = len(b)
     for lo, hi, off in a:
-        ilo = lo + off
-        ihi = hi + off
-        while j < nb and b[j][1] < ilo:
-            j += 1
-        k = j
-        while k < nb and b[k][0] <= ihi:
-            blo, bhi, boff = b[k]
-            s_lo = ilo if ilo > blo else blo
-            s_hi = ihi if ihi < bhi else bhi
+        for blo, bhi, boff in b:
+            s_lo = max(lo + off, blo)
+            s_hi = min(hi + off, bhi)
             if s_lo <= s_hi:
                 out.append((s_lo - off, s_hi - off, off + boff))
-            k += 1
     return out
 
 

@@ -39,6 +39,7 @@ from cofinj.core import (
 )
 from helpers import (
     _fastest_ms,
+    _wide_domain,
     ref_compose_almost,
     ref_extend_almost,
     ref_from_monotone,
@@ -80,16 +81,6 @@ def _wide(e):
     return make_almost(
         e.left_end, e.left_offset + WIDE, e.right_start, e.right_offset + WIDE,
         {k: v + WIDE for k, v in e.middle.items()},
-    )
-
-
-def _wide_domain(e):
-    """x -> e(x - 2^60), built from e's data directly."""
-    if isinstance(e, MonotoneElement):
-        return MonotoneElement([(lo + WIDE, hi + WIDE, o - WIDE) for lo, hi, o in e.segments])
-    return make_almost(
-        e.left_end + WIDE, e.left_offset - WIDE, e.right_start + WIDE, e.right_offset - WIDE,
-        {k + WIDE: v for k, v in e.middle.items()},
     )
 
 

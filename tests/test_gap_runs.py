@@ -55,6 +55,8 @@ from cofinj.topology import BasicNeighborhood, _extent, inverse_cover, member, p
 
 from helpers import (
     _fastest_ms,
+    _Forged,
+    _wide_domain,
     by_pieces,
     expand_runs,
     point_monotonizers,
@@ -108,19 +110,6 @@ def _pins(elem, rng, k=2):
 def _wide(e):
     """The same map followed by a 2^60 translation: every image moves out by 2^60."""
     return e * shift(WIDE)
-
-
-def _wide_domain(e):
-    """x -> e(x - 2^60): the domain moves out by 2^60, built from e's data directly."""
-    if isinstance(e, MonotoneElement):
-        return MonotoneElement([(lo + WIDE, hi + WIDE, o - WIDE) for lo, hi, o in e.segments])
-    return am.make_almost(
-        e.left_end + WIDE,
-        e.left_offset - WIDE,
-        e.right_start + WIDE,
-        e.right_offset - WIDE,
-        {k + WIDE: v for k, v in e.middle.items()},
-    )
 
 
 def _is_translation(e):
@@ -470,16 +459,6 @@ def test_idempotents_ignore_gap_width():
     assert left.runs == ((-2, -2), (lo, hi))
     assert right.runs == ((lo - 1, lo - 1), (2 * WIDE, 2 * WIDE + big))
     assert both.runs == ((-2, -2), (lo - 1, hi), (2 * WIDE, 2 * WIDE + big))
-
-
-class _Forged:
-    """Pickles as a call of ``fn`` on ``args``."""
-
-    def __init__(self, fn, args):
-        self.fn, self.args = fn, args
-
-    def __reduce__(self):
-        return (self.fn, self.args)
 
 
 # pickled when IdempotentGaps stored its point set: IdempotentGaps({0, 3, 4}), protocol 2

@@ -2,18 +2,21 @@
 
 compose_segments merges each output piece into the previous one as it emits
 it; ref_compose_segments makes the composite first and merges it in a second
-pass.  Both must give the same list on every input the library passes: two
-canonical segment lists, or an almost-monotone left factor's pieces sorted by
-image against the right factor's pieces.
+pass.  Both must give the same list on two canonical segment lists, and on an
+almost-monotone left factor's pieces against the right factor's pieces, with
+the left pieces in domain order (as the library passes them), in image order
+or shuffled.
 """
 
 import random
 
+import pytest
+
 from cofinj import _kernel
-from cofinj.almost import _by_image, as_almost, random_almost
+from cofinj.almost import almost_identity, as_almost, make_almost, random_almost
 from cofinj.core import NEG_INF, POS_INF, element_from_gaps, normalize, random_element, shift
 
-from helpers import ref_composite_pieces, ref_compose_segments, ref_merge_pieces
+from helpers import _fastest_ms, ref_compose_almost, ref_composite_pieces, ref_compose_segments, ref_merge_pieces
 
 
 def _same_as_reference(pairs):
@@ -79,7 +82,11 @@ def test_one_pass_matches_two_passes_at_2_to_the_60():
     assert _same_as_reference(pairs) > 0
 
 
-def test_one_pass_matches_two_passes_on_almost_pieces_by_image():
+def _image_lo(piece):
+    return piece[0] + piece[2]
+
+
+def test_one_pass_matches_two_passes_on_almost_pieces_in_any_order():
     # b's pieces are maximal, so two touching equal-offset outputs never come
     # from one piece of a: every merge counted here spans two pieces of a
     rng = random.Random(13)
@@ -87,10 +94,28 @@ def test_one_pass_matches_two_passes_on_almost_pieces_by_image():
     for _ in range(3000):
         a = random_almost(rng, 2, 5, 6)
         b = random_almost(rng, 2, 5, 6) if rng.random() < 0.7 else as_almost(random_element(rng, 3, 2))
-        pairs.append((_by_image(a.pieces), b.pieces))
-        pairs.append((_by_image(a.pieces), a.inverse().pieces))
-    assert any(a != sorted(a) for a, _ in pairs)
+        for right in (b, a.inverse()):
+            # in domain order, the kernel's output is the composite's maximal pieces
+            assert _kernel.compose_segments(a.pieces, right.pieces) == list(ref_compose_almost(a, right).pieces)
+            shuffled = list(a.pieces)
+            rng.shuffle(shuffled)
+            for left in (a.pieces, sorted(a.pieces, key=_image_lo), shuffled):
+                pairs.append((left, right.pieces))
+    assert any(sorted(a, key=_image_lo) != sorted(a) for a, _ in pairs)
     assert _same_as_reference(pairs) > 100
+
+
+@pytest.mark.width
+@pytest.mark.parametrize("at", [0, 2**60])
+def test_scrambled_left_factor_costs_n_log_n(at):
+    # i -> (7919 i mod n) + 1 on 1..n: each image jumps far ahead of the last or
+    # turns back, so a forward walk over the right factor would be quadratic
+    n = 51_200
+    x = make_almost(at, 0, at + n + 1, 0, {at + i: at + 7919 * i % n + 1 for i in range(1, n + 1)})
+    assert len(x.pieces) == n + 2  # every point is a piece of its own
+    ms, got = _fastest_ms(lambda: x * x.inverse())
+    assert got == almost_identity()
+    assert ms < 1000, f"{ms:.0f} ms"
 
 
 def test_merges_stop_at_gaps_and_offset_changes():

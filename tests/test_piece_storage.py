@@ -36,7 +36,7 @@ from cofinj.core import (
 from cofinj.green import solve_left, solve_right
 from cofinj.topology import BasicNeighborhood, sample_member
 
-from helpers import _fastest_ms, assert_pointwise, breaks, pull_back
+from helpers import _fastest_ms, _Forged, assert_pointwise, breaks, pull_back
 
 BIG = 2**60
 
@@ -189,16 +189,6 @@ def test_wide_copies_and_pickles_cost_what_the_pieces_cost():
             assert all(type(p) is tuple for p in twin.pieces)
 
 
-class _Forged:
-    """Pickles as a call of ``fn`` on ``args``."""
-
-    def __init__(self, fn, args):
-        self.fn, self.args = fn, args
-
-    def __reduce__(self):
-        return (self.fn, self.args)
-
-
 TAMPERED = [
     (((NEG_INF, 0, 0), (1, 1, -1), (2, POS_INF, 0)), "overlapping images"),
     (((NEG_INF, 0, 0), (1, 3, 1), (4, POS_INF, 1)), "unmerged equal-offset neighbours"),
@@ -279,6 +269,29 @@ def test_wide_reprs_print_their_pieces():
         ms, text = _fastest_ms(lambda: repr(e))
         assert text == f"{type(e).__name__}({e.pieces})"
         assert len(text) < 1024 and ms < 10, (len(text), ms)
+
+
+@pytest.mark.parametrize("points, as_text", [(64, True), (65, False)])
+def test_idempotent_and_neighborhood_reprs_are_their_text_up_to_64_points(points, as_text):
+    for runs in (((1, points),), ((1, 1), (points, points))):
+        eps = IdempotentGaps._of_runs(runs)
+        assert repr(eps) == (eps.to_text() if as_text else f"IdempotentGaps(runs={runs})")
+    # the window (0, points - 1) holds `points` points, as in the element test above
+    center = IdempotentGaps(range(1, points - 1)).to_element()
+    for nb in (BasicNeighborhood(center, [0], "W"), BasicNeighborhood(am.from_monotone(center), [0, points - 1], "H")):
+        assert repr(nb) == (nb.to_text() if as_text else nb.to_text().replace(center.to_text(), repr(center)))
+        assert len(repr(nb)) < 300
+
+
+@pytest.mark.width
+def test_wide_idempotent_and_neighborhood_reprs_print_their_runs_and_pieces():
+    eps = IdempotentGaps._of_runs(((1, 10**12),))
+    nb = BasicNeighborhood(eps.to_element(), [0, BIG], "H")
+    want = {eps: "IdempotentGaps(runs=((1, 1000000000000),))", nb: f"nbhd_h({eps.to_element()!r}; 0, {BIG})"}
+    for value, text in want.items():
+        ms, got = _fastest_ms(lambda: repr(value))
+        assert got == text
+        assert len(got) < 1024 and ms < 10, (len(got), ms)
 
 
 # -- evaluation ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from cofinj.core import (
 )
 from cofinj.topology import BasicNeighborhood, sample_member
 
-from helpers import ref_sample_member
+from helpers import _Forged, ref_sample_member
 
 DRAWS = 20
 
@@ -155,16 +155,6 @@ def test_neighborhoods_copy_and_pickle_without_their_plan():
             assert twin._draw is None
             seed = rng.random()
             assert sample_member(twin, random.Random(seed)) == sample_member(nb, random.Random(seed))
-
-
-class _Forged:
-    """Pickles as a call of ``cls`` on ``args``, as the library's own types do."""
-
-    def __init__(self, cls, args):
-        self.cls, self.args = cls, args
-
-    def __reduce__(self):
-        return (self.cls, self.args)
 
 
 def test_unpickling_validates():
