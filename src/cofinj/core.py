@@ -179,9 +179,9 @@ class _PieceMap:
 
     @classmethod
     def _trusted(cls, pieces):
-        """Wrap domain-sorted maximal pieces that are canonical by construction, unchecked."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "pieces", tuple(pieces))
+        """Wrap canonical-by-construction pieces, unchecked; ``_set_pieces`` fills the slot past ``__setattr__``."""
+        self = _new(cls)
+        _set_pieces(self, tuple(pieces))
         return self
 
     def __reduce__(self):
@@ -255,6 +255,7 @@ class _PieceMap:
         return f"{type(self).__name__}({self.pieces})"
 
 
+_new, _set_pieces = object.__new__, _PieceMap.pieces.__set__
 _lo = itemgetter(0)
 _lo_hi = itemgetter(0, 1)
 _offset = itemgetter(2)
@@ -787,14 +788,19 @@ def parse_element(text: str) -> MonotoneElement:
 
     A ``seg[...]`` literal may have blanks next to its separators, never inside
     a number, an infinity or ``..``.  Without them it is read by C-level string
-    passes, and its segments go to :func:`normalize`, which checks them.
+    passes.  Segments that pass the canonical check, as printed text does,
+    are wrapped as they are; any others go to :func:`normalize`.
     """
     s = _literal(text)
     if s[:4] == "seg[" and s[-1:] == "]":
         segs = _segment_list(s[4:-1])
         if segs is None:
             raise InvalidElementError(f"malformed segment list: {text!r}")
-        return normalize(segs)
+        try:
+            _check_canonical(segs)
+        except InvalidElementError:
+            return normalize(segs)
+        return MonotoneElement._trusted(segs)
     if s == "id":
         return identity()
     m = _SHIFT_RE.match(s)

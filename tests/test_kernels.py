@@ -5,7 +5,10 @@ it; ref_compose_segments makes the composite first and merges it in a second
 pass.  Both must give the same list on two canonical segment lists, and on an
 almost-monotone left factor's pieces against the right factor's pieces, with
 the left pieces in domain order (as the library passes them), in image order
-or shuffled.
+or shuffled.  Hand-made probes send one left image into each branch of the
+walk over the right pieces (a gap, an image that ends at a piece's end or
+one point past it, three or more pieces, infinite ends, 2^60 offsets), once
+on the forward walk and once after a turn-back, where the kernel bisects.
 """
 
 import random
@@ -14,7 +17,7 @@ import pytest
 
 from cofinj import _kernel
 from cofinj.almost import almost_identity, as_almost, make_almost, random_almost
-from cofinj.core import NEG_INF, POS_INF, element_from_gaps, normalize, random_element, shift
+from cofinj.core import NEG_INF, POS_INF, element_from_gaps, identity, normalize, random_element, shift
 
 from helpers import _fastest_ms, ref_compose_almost, ref_composite_pieces, ref_compose_segments, ref_merge_pieces
 
@@ -105,17 +108,97 @@ def test_one_pass_matches_two_passes_on_almost_pieces_in_any_order():
     assert _same_as_reference(pairs) > 100
 
 
-@pytest.mark.width
-@pytest.mark.parametrize("at", [0, 2**60])
-def test_scrambled_left_factor_costs_n_log_n(at):
-    # i -> (7919 i mod n) + 1 on 1..n: each image jumps far ahead of the last or
-    # turns back, so a forward walk over the right factor would be quadratic
+def _scrambled(at):
+    """i -> (7919 i mod n) + 1 on at+1..at+n for n = 51,200, the identity elsewhere: n + 2 pieces."""
     n = 51_200
     x = make_almost(at, 0, at + n + 1, 0, {at + i: at + 7919 * i % n + 1 for i in range(1, n + 1)})
     assert len(x.pieces) == n + 2  # every point is a piece of its own
+    return x
+
+
+@pytest.mark.width
+@pytest.mark.parametrize("at", [0, 2**60])
+def test_scrambled_left_factor_costs_n_log_n(at):
+    # each image jumps far ahead of the last or turns back, so a forward walk
+    # over the right factor would be quadratic
+    x = _scrambled(at)
     ms, got = _fastest_ms(lambda: x * x.inverse())
     assert got == almost_identity()
     assert ms < 1000, f"{ms:.0f} ms"
+
+
+@pytest.mark.width
+@pytest.mark.parametrize("at", [0, 2**60])
+def test_one_image_across_every_right_piece_is_one_walk(at):
+    # the identity's one image meets all n + 2 pieces: every one but the last is a cut piece
+    x = _scrambled(at)
+    ms, got = _fastest_ms(lambda: _kernel.compose_segments(identity().pieces, x.pieces))
+    assert got == list(x.pieces)
+    assert ms < 1000, f"{ms:.0f} ms"
+
+
+# A right factor with domain gaps 1..4 and 15..19 and a one-point piece whose
+# image turns back; every offset differs, so each piece met is one output piece.
+_B = [(NEG_INF, 0, 0), (5, 9, 3), (10, 14, 4), (20, 20, -50), (21, POS_INF, 5)]
+
+# the image of one left piece, in b's domain, and the number of b pieces it meets
+_PROBES = [
+    ((2, 3), 0, "inside a gap"),
+    ((1, 4), 0, "the whole gap"),
+    ((15, 19), 0, "the whole second gap"),
+    ((6, 9), 1, "ends at a right piece's end"),
+    ((6, 10), 2, "ends one point past it, on the next piece"),
+    ((12, 14), 1, "ends at the end before a gap"),
+    ((12, 15), 1, "ends one point past it, in the gap"),
+    ((3, 7), 1, "starts in a gap"),
+    ((0, 5), 2, "the last point of one piece and the first of the next"),
+    ((-3, 22), 5, "five right pieces"),
+    ((8, 21), 4, "four right pieces across a gap"),
+    ((20, 20), 1, "the one-point piece"),
+    ((NEG_INF, -10), 1, "infinite first piece inside b's first"),
+    ((NEG_INF, 3), 1, "infinite first piece into a gap"),
+    ((NEG_INF, 11), 3, "infinite first piece across three"),
+    ((28, POS_INF), 1, "infinite last piece inside b's last"),
+    ((16, POS_INF), 2, "infinite last piece from a gap"),
+    ((-2, POS_INF), 5, "infinite last piece across five"),
+    ((NEG_INF, POS_INF), 5, "the whole line"),
+]
+
+
+def _paths(probe, big):
+    """Left factors ending in ``probe``: after an image below it (the forward walk) and after a turn-back (bisection).
+
+    The other pieces are single points whose domains lie 10^7 from the probe's.
+    """
+    ilo, ihi = probe[0] + probe[2], probe[1] + probe[2]
+    far = -big + (-(10**7) if ihi == POS_INF else 10**7)
+
+    def point(d, image):
+        return (far + d, far + d, image - far - d)
+
+    forward = [probe] if ilo == NEG_INF else [point(0, ilo - 30), probe]
+    if ihi != POS_INF:
+        return [forward, [point(0, ihi + 40), point(1, ihi + 30), probe]]
+    if ilo != NEG_INF:
+        return [forward, [point(0, ilo - 20), point(1, ilo - 30), probe]]
+    return [forward]  # the whole line leaves no room for another image
+
+
+@pytest.mark.parametrize("big", [0, 2**60, -(2**60)])
+@pytest.mark.parametrize("image,met,what", _PROBES, ids=[w for _, _, w in _PROBES])
+def test_each_right_piece_branch_on_both_paths(image, met, what, big):
+    # b moved up by big with offsets -3 big; the probe maps onto b's coordinates with offset 2 big + 7
+    b = [(lo + big, hi + big, o - 3 * big) for lo, hi, o in _B]
+    off = 2 * big + 7
+    probe = (image[0] + big - off, image[1] + big - off, off)
+    alone = ref_compose_segments([probe], b)
+    assert len(alone) == met
+    paths = _paths(probe, big)
+    assert len(paths) == (1 if image == (NEG_INF, POS_INF) else 2)
+    for a in paths:
+        got = _kernel.compose_segments(a, b)
+        assert got == ref_compose_segments(a, b), (a, b)
+        assert got[len(got) - met :] == alone
 
 
 def test_merges_stop_at_gaps_and_offset_changes():

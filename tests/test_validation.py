@@ -130,6 +130,72 @@ def test_normalize_rejects_like_the_reference(raw, what):
             assert got == want
 
 
+def _seg_literal(raw):
+    """``raw`` written as a seg[...] literal, or None where a field has no spelling in one."""
+    fields = []
+    for lo, hi, off in raw:
+        if not (type(lo) is int or lo == NEG_INF) or not (type(hi) is int or hi == POS_INF) or type(off) is not int:
+            return None
+        fields.append(f"({'-inf' if lo == NEG_INF else lo}..{'+inf' if hi == POS_INF else hi},{off:+d})")
+    return f"seg[{','.join(fields)}]" if fields else None
+
+
+def _read_like_normalize(raw):
+    """parse_element reads raw's literal as normalize takes raw: the same pieces, or the same class and message."""
+    got, want = _outcome(parse_element, _seg_literal(raw)), _outcome(normalize, raw)
+    if got[0] == "ok" and want[0] == "ok":
+        assert type(got[1]) is MonotoneElement and got[1].pieces == want[1].pieces
+    else:
+        assert got == want
+    return want[0] == "ok"
+
+
+WRITTEN = [(raw, what) for raw, what in BAD if _seg_literal(raw)]
+
+
+@pytest.mark.parametrize("raw,what", WRITTEN, ids=[what for _, what in WRITTEN])
+def test_a_seg_literal_is_read_as_normalize_reads_its_segments(raw, what):
+    for order in (raw, raw[::-1]):
+        _read_like_normalize(order)
+
+
+def test_shuffled_unmerged_overlapping_and_bounded_seg_literals_read_as_normalize():
+    rng = random.Random(22)
+    accepted = 0
+    for segs in _valid_corpus()[::3]:
+        variants = [list(segs)]
+        shuffled = list(segs)
+        rng.shuffle(shuffled)
+        variants.append(shuffled)
+        # every piece from a finite point on split after that point, so each must be merged back
+        split = []
+        for lo, hi, o in segs:
+            split += [(lo, hi, o)] if lo == NEG_INF or lo == hi else [(lo, lo, o), (lo + 1, hi, o)]
+        variants.append(split)
+        if len(segs) > 1:
+            (_, hi1, o1), (_, hi2, o2) = segs[:2]
+            variants.append([segs[0], (hi1, hi2, o2), *segs[2:]])  # overlapping domains
+            variants.append([(hi1 - 1, hi1, o1), *segs[1:]])  # a bounded first piece
+            variants.append([*segs[:-1], (segs[-1][0], segs[-1][0] + 3, segs[-1][2])])  # a bounded last piece
+        for raw in variants:
+            accepted += _read_like_normalize(raw)
+    assert accepted > 100
+
+
+def test_printed_text_is_read_without_normalize(monkeypatch):
+    def refused(raw):
+        raise AssertionError("normalize called")
+
+    rng = random.Random(23)
+    elems = [random_element(rng, rng.randint(0, 4), 3) for _ in range(50)]
+    monkeypatch.setattr(core, "normalize", refused)
+    for e in elems:
+        got = parse_element(e.to_seg_text())
+        assert type(got) is MonotoneElement and got.pieces == e.pieces
+    with pytest.raises(AssertionError, match="normalize called"):
+        parse_element("seg[(2..+inf,+1),(-inf..0,+0)]")
+
+
 def test_check_and_normalize_accept_valid_corpora():
     rng = random.Random(21)
     for segs in _valid_corpus():
