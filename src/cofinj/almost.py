@@ -48,6 +48,7 @@ from .core import (
     InvalidElementError,
     MonotoneElement,
     _bare,
+    _check_element,
     _gaps_between,
     _graft,
     _image_gaps,
@@ -270,6 +271,7 @@ def minimal_exceptions(elem) -> frozenset:
 
 def _removed_pieces(elem) -> list:
     """The inner pieces that minimal_exceptions removes, in domain order."""
+    _check_element(elem, "elem")
     if elem.is_monotone():
         return []
     later = []  # (first value, run) of the pieces after the current one

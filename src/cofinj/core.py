@@ -139,13 +139,23 @@ def _check_segments(segs):
 
 def _check_canonical(segs, monotone: bool = True):
     """The check of a maximal piece tuple; the images increase when ``monotone``, else they are disjoint."""
+    _check_segments(segs)
+    _check_ends(segs)
+    _check_neighbours(segs, monotone)
+
+
+def _check_ends(segs):
+    """A piece tuple has a first piece from -inf and a last one to +inf."""
     if not segs:
         raise InvalidElementError("an element needs at least one segment")
-    _check_segments(segs)
     if segs[0][0] != NEG_INF:
         raise InvalidElementError("leftmost segment must extend to -inf")
     if segs[-1][1] != POS_INF:
         raise InvalidElementError("rightmost segment must extend to +inf")
+
+
+def _check_neighbours(segs, monotone: bool = True):
+    """Neighbouring pieces are disjoint, ordered and maximal; images increase when ``monotone``, else are disjoint."""
     for (lo1, hi1, o1), (lo2, hi2, o2) in zip(segs, segs[1:]):
         if not hi1 < lo2:
             raise InvalidElementError("segments overlap or are out of order")
@@ -403,31 +413,17 @@ def normalize(raw: Iterable[tuple]) -> MonotoneElement:
     offset; rejects overlapping domains, out-of-order images, a bounded
     first/last piece, and empty input.  Idempotent on canonical input.  The
     checks below are all that canonical form needs, so the result is not
-    validated a second time.  Segments of plain ints are checked inline, as
-    in the constructor.
+    validated a second time.  They are the constructor's, in this order:
+    every segment, then neighbouring pairs once the kernel's merge loop has
+    merged the sorted segments, then the two ends.  A merge joins only
+    pieces that touch with one offset, so the first bad pair is the one an
+    unmerged walk would meet.
     """
     segs = _segments(raw)
-    if not segs:
-        raise InvalidElementError("an element needs at least one segment")
     _check_segments(segs)
-    segs = sorted(segs, key=_lo_hi)
-    merged = []
-    plo, phi, poff = segs[0]
-    for lo, hi, off in segs[1:]:
-        if not phi < lo:
-            raise InvalidElementError("segments overlap or are out of order")
-        if phi + 1 == lo and poff == off:
-            phi = hi
-        else:
-            if not phi + poff < lo + off:
-                raise InvalidElementError("segment images overlap or are out of order")
-            merged.append((plo, phi, poff))
-            plo, phi, poff = lo, hi, off
-    merged.append((plo, phi, poff))
-    if merged[0][0] != NEG_INF:
-        raise InvalidElementError("leftmost segment must extend to -inf")
-    if merged[-1][1] != POS_INF:
-        raise InvalidElementError("rightmost segment must extend to +inf")
+    merged = _kernel.merge_pieces(sorted(segs, key=_lo_hi))
+    _check_neighbours(merged)
+    _check_ends(merged)
     return MonotoneElement._trusted(merged)
 
 
@@ -666,13 +662,17 @@ class IdempotentGaps:
 
     def leq(self, other: "IdempotentGaps") -> bool:
         """Natural partial order: self <= other iff dom(self) is contained in dom(other)."""
-        return _runs_within(other.runs, self.runs)
+        return _runs_within(_idempotent_arg(other).runs, self.runs)
 
-    __le__ = leq
+    def __le__(self, other):
+        if isinstance(other, IdempotentGaps):
+            return _runs_within(other.runs, self.runs)
+        return NotImplemented
 
     def meet(self, other: "IdempotentGaps") -> "IdempotentGaps":
         # the gaps between the pieces of the identity off both run lists are the runs of their union
-        return IdempotentGaps._of_runs(_gaps_between(_translation_off(sorted(self.runs + other.runs))))
+        runs = sorted(self.runs + _idempotent_arg(other).runs)
+        return IdempotentGaps._of_runs(_gaps_between(_translation_off(runs)))
 
     def __mul__(self, other):
         if isinstance(other, IdempotentGaps):
@@ -681,7 +681,8 @@ class IdempotentGaps:
 
     def covers(self, other: "IdempotentGaps") -> bool:
         """True when other sits directly below self: one extra gap, nothing between."""
-        return _run_size(other.runs) - _run_size(self.runs) == 1 and _runs_within(self.runs, other.runs)
+        runs = _idempotent_arg(other).runs
+        return _run_size(runs) - _run_size(self.runs) == 1 and _runs_within(self.runs, runs)
 
     def __eq__(self, other):
         if isinstance(other, IdempotentGaps):
@@ -699,6 +700,13 @@ class IdempotentGaps:
         if not self.runs or self.runs[-1][1] - self.runs[0][0] < _REPR_MAX_POINTS:
             return self.to_text()
         return f"{type(self).__name__}(runs={self.runs})"
+
+
+def _idempotent_arg(other) -> IdempotentGaps:
+    """The other operand of an idempotent's method, checked, since a non-idempotent has no runs to read."""
+    if not isinstance(other, IdempotentGaps):
+        raise InvalidElementError(f"other must be an IdempotentGaps, got {other!r}")
+    return other
 
 
 def idempotent_leq(eps: IdempotentGaps, iota: IdempotentGaps) -> bool:

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import random
 import re
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 from . import almost as _almost
 from . import bicyclic as _bicyclic
@@ -52,6 +54,85 @@ class EvalError(ValueError):
     pass
 
 
+# -- named forms and predicates --------------------------------------------------
+
+
+def _element(v, where):
+    if not isinstance(v, _PieceMap):
+        raise EvalError(f"{where} expects an element, got {format_value(v)}")
+    return v
+
+
+def _idempotent(v, where):
+    if not _element(v, where).is_idempotent():
+        raise EvalError(f"{where} expects an idempotent, got {format_value(v)}")
+    return IdempotentGaps.from_element(v)
+
+
+def _is(v, where, test, what):
+    if not test(v):
+        raise EvalError(f"{where} expects {what}")
+    return v
+
+
+def _word(node, where):
+    """The letters of a product of generators of one bicyclic copy, read off the syntax tree, so none is built."""
+    items = node.items if isinstance(node, Prod) else [node]
+    for item in items:
+        if not isinstance(item, Gen):
+            raise EvalError(f"{where} expects a product of bicyclic generators")
+        if (item.index, item.orientation) != (items[0].index, items[0].orientation):
+            raise EvalError(f"{where} expects generators from a single bicyclic copy")
+    return "".join(item.letter for item in items)
+
+
+# e: element, i: idempotent, n: neighborhood (N: one ahead of other arguments), z: integer, w: nf's word
+_NEIGHBORHOOD = partial(_is, test=lambda v: isinstance(v, _topology.BasicNeighborhood), what="a neighborhood")
+_KINDS = {"e": _element, "i": _idempotent, "n": _NEIGHBORHOOD, "w": _word,
+          "N": partial(_NEIGHBORHOOD, what="a neighborhood as its first argument"),
+          "z": partial(_is, test=_is_int, what="an integer")}
+
+
+def _basic(center, pins, flavor):
+    try:
+        return _topology.BasicNeighborhood(center, pins or (), flavor)
+    except InvalidElementError as e:
+        raise EvalError(str(e)) from None
+
+
+_Form = namedtuple("_Form", "kinds pins checks value")
+
+
+def _form(name, kinds, value):
+    """A row of ``_FORMS``: the argument kinds, then ';' when pins follow, a check per argument, and the value."""
+    where = repr(name) if name == "<=" else name  # quoted, as '*' and '^-1' are
+    args = kinds.rstrip(";")
+    return _Form(args, kinds.endswith(";"), tuple(partial(_KINDS[k], where=where) for k in args), value)
+
+
+# each value reaches the library through a module attribute at call time, so a patched attribute is what runs
+_FORMS = {name: _form(name, kinds, value) for name, kinds, value in [
+    ("shift", "z", lambda ev, k: shift(k)),
+    ("h", "e", lambda ev, x: tuple(_congruence.mgc_signature(x))),
+    ("F_min", "e", lambda ev, x: frozenset(_almost.minimal_exceptions(x))),
+    ("nf", "w", lambda ev, word: _bicyclic.normal_form(word)),
+    ("in", "Ne", lambda ev, nb, x: _topology.member(nb, x)),
+    ("sample", "n", lambda ev, nb: _almost.canonicalize(_topology.sample_member(nb, ev.rng))),
+    ("nbhd", "e;", lambda ev, x, pins: _basic(x, pins, "W")),
+    ("nbhd_h", "e;", lambda ev, x, pins: _basic(x, pins, "H")),
+    ("cover", "ee;", lambda ev, a, b, pins: _topology.product_cover(a, b, pins)),
+    ("audit_cover", "ee;", lambda ev, a, b, pins: _topology.audit_product_cover(a, b, pins, ev.rng)),
+    ("audit_inv", "e;", lambda ev, g, pins: _topology.audit_inverse_cover(g, pins, ev.rng)),
+    ("audit_sep", "ee", lambda ev, a, b: _topology.audit_separate(a, b, ev.rng)),
+    # the predicates parse as two-argument calls named by their operators
+    ("~R", "ee", lambda ev, a, b: _green.r_equiv(a, b)),
+    ("~L", "ee", lambda ev, a, b: _green.l_equiv(a, b)),
+    ("~H", "ee", lambda ev, a, b: _green.h_equiv(a, b)),
+    ("~mg", "ee", lambda ev, a, b: _congruence.mgc_equiv(a, b)),
+    ("<=", "ii", lambda ev, e, f: e.leq(f)),
+]}
+
+
 # -- tokenizer ------------------------------------------------------------------
 
 _TOKEN_SPEC = [
@@ -60,7 +141,8 @@ _TOKEN_SPEC = [
     ("EGAPS", r"E\{[^{}]*\}"),
     ("GEN", r"[ab][+-]\(\s*[+-]?\d+\s*\)"),
     ("INV", r"\^-1"),
-    ("PRED", r"~(?:mg|R|L|H)|<="),
+    # the rows named by an operator, longest first
+    ("PRED", "|".join(re.escape(n) for n in sorted(_FORMS, key=len, reverse=True) if not n.isidentifier())),
     ("NAME", r"[A-Za-z_][A-Za-z_0-9]*"),
     ("INT", r"[+-]?\d+"),
     ("OP", r"[*(),;={}?]"),
@@ -155,24 +237,6 @@ class Solve:
     rhs: object
 
 
-_FUNCTIONS = {
-    "shift": (1, False),
-    "h": (1, False),
-    "F_min": (1, False),
-    "nf": (1, False),
-    "in": (2, False),
-    "sample": (1, False),
-    "nbhd": (1, True),
-    "nbhd_h": (1, True),
-    "cover": (2, True),
-    "audit_cover": (2, True),
-    "audit_inv": (1, True),
-    "audit_sep": (2, False),
-}
-
-# the relation predicates; each parses as a two-argument call named by its operator, as '<=' does
-_RELATIONS = ("~R", "~L", "~H", "~mg")
-
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -211,8 +275,7 @@ class _Parser:
             self.next()
             factors = self.parse_prod_items(allow_hole=True)
             self.expect("=")
-            rhs = self.parse_prod()
-            node = Solve(factors, rhs)
+            node = Solve(factors, self.parse_prod())
         else:
             node = self.parse_cmp()
         if self.peek().kind != "EOF":
@@ -254,12 +317,9 @@ class _Parser:
                 self.fail("'?' is only allowed in a solve statement")
             self.next()
             return Hole()
-        if t.kind in ("SEG", "EGAPS"):
+        if t.kind in ("SEG", "EGAPS", "AM"):
             self.next()
-            return Lit(parse_element(t.text))
-        if t.kind == "AM":
-            self.next()
-            return Lit(_almost.parse_almost(t.text))
+            return Lit(_almost.parse_almost(t.text) if t.kind == "AM" else parse_element(t.text))
         if t.kind == "GEN":
             self.next()
             # the token is a letter, a sign, and an integer in parentheses, maybe with blanks around it
@@ -276,19 +336,12 @@ class _Parser:
             first = self.parse_cmp()
             if self.peek().kind == ",":
                 self.next()
-                second = self.parse_cmp()
-                self.expect(")")
-                return Pair(first, second)
+                first = Pair(first, self.parse_cmp())
             self.expect(")")
             return first
         if t.kind == "{":
             self.next()
-            items = []
-            if self.peek().kind != "}":
-                items.append(self.parse_cmp())
-                while self.peek().kind == ",":
-                    self.next()
-                    items.append(self.parse_cmp())
+            items = self._items(self.parse_cmp, "}")
             self.expect("}")
             return SetLit(items)
         self.fail(
@@ -301,29 +354,30 @@ class _Parser:
         name = t.text
         if name == "id":
             return Lit(identity())
-        if name == "true":
-            return Lit(True)
-        if name == "false":
-            return Lit(False)
-        if name in _FUNCTIONS:
-            nargs, has_pins = _FUNCTIONS[name]
+        if name in ("true", "false"):
+            return Lit(name == "true")
+        form = _FORMS.get(name)
+        if form is not None:
             self.expect("(")
             args = [self.parse_cmp()]
-            for _ in range(nargs - 1):
+            for _ in form.kinds[1:]:
                 self.expect(",")
                 args.append(self.parse_cmp())
             pins = None
-            if has_pins:
+            if form.pins:
                 self.expect(";")
-                pins = []
-                if self.peek().kind != ")":
-                    pins.append(self._pin())
-                    while self.peek().kind == ",":
-                        self.next()
-                        pins.append(self._pin())
+                pins = self._items(self._pin, ")")
             self.expect(")")
             return Call(name, args, pins)
-        self.fail(f"unknown name {name!r}", ("id", "true", "false", *sorted(_FUNCTIONS)), t.pos)
+        self.fail(f"unknown name {name!r}", ("id", "true", "false", *sorted(filter(str.isidentifier, _FORMS))), t.pos)
+
+    def _items(self, read, close):
+        """What ``read`` reads, separated by ',', up to the token ``close``, which is left to the caller."""
+        items = [] if self.peek().kind == close else [read()]
+        while items and self.peek().kind == ",":
+            self.next()
+            items.append(read())
+        return items
 
     def _pin(self) -> int:
         t = self.expect("INT")
@@ -342,18 +396,6 @@ def parse(text: str):
 
 
 # -- evaluation ------------------------------------------------------------------
-
-
-def _need_element(v, where):
-    if not isinstance(v, _PieceMap):
-        raise EvalError(f"{where} expects an element, got {format_value(v)}")
-    return v
-
-
-def _need_idempotent(v, where):
-    _need_element(v, where)
-    if not v.is_idempotent():
-        raise EvalError(f"{where} expects an idempotent, got {format_value(v)}")
 
 
 class Evaluator:
@@ -377,14 +419,14 @@ class Evaluator:
             vals = [self._eval(n) for n in node.items]
             out = vals[0]
             for v in vals[1:]:
-                out = _almost.canonicalize(_need_element(out, "'*'") * _need_element(v, "'*'"))
+                out = _almost.canonicalize(_element(out, "'*'") * _element(v, "'*'"))
             return out
         if isinstance(node, Inv):
             # inversion is an involution, so a '^-1' chain inverts once when its length is odd
             chain = 0
             while isinstance(node, Inv):
                 node, chain = node.item, chain + 1
-            v = _need_element(self._eval(node), "'^-1'")
+            v = _element(self._eval(node), "'^-1'")
             return _almost.canonicalize(v.inverse() if chain % 2 else v)
         if isinstance(node, Call):
             return self._call(node)
@@ -397,60 +439,20 @@ class Evaluator:
         if isinstance(node, Hole):
             raise EvalError("'?' outside a solve statement")
         raise EvalError(f"cannot evaluate {node!r}")
-
     def _call(self, node):
-        """Evaluate a named form or a predicate (a two-argument call named by its operator)."""
-        name = node.name
-        if name == "nf":
-            # nf reads its word off the syntax tree, so the product is never built
-            return _word_normal_form(node.args[0])
-        args = [self._eval(a) for a in node.args]
-        if name == "shift":
-            if not _is_int(args[0]):
-                raise EvalError("shift expects an integer")
-            return shift(args[0])
-        if name == "<=":
-            for v in args:
-                _need_idempotent(v, "'<='")
-            e, f = map(IdempotentGaps.from_element, args)
-            return e.leq(f)
-        if name not in _FUNCTIONS and name not in _RELATIONS:
-            raise EvalError(f"unknown function {name!r}")
-        if name in ("in", "sample"):
-            nb = args.pop(0)
-            if not isinstance(nb, _topology.BasicNeighborhood):
-                raise EvalError("in expects a neighborhood as its first argument" if name == "in"
-                                else "sample expects a neighborhood")
-        for v in args:
-            _need_element(v, name)
-        if name == "~R":
-            return _green.r_equiv(*args)
-        if name == "~L":
-            return _green.l_equiv(*args)
-        if name == "~H":
-            return _green.h_equiv(*args)
-        if name == "~mg":
-            return _congruence.mgc_equiv(*args)
-        if name == "h":
-            return tuple(_congruence.mgc_signature(*args))
-        if name == "F_min":
-            return frozenset(_almost.minimal_exceptions(*args))
-        if name in ("nbhd", "nbhd_h"):
-            try:
-                return _topology.BasicNeighborhood(*args, node.pins or (), "W" if name == "nbhd" else "H")
-            except InvalidElementError as e:
-                raise EvalError(str(e)) from None
-        if name == "in":
-            return _topology.member(nb, *args)
-        if name == "sample":
-            return _almost.canonicalize(_topology.sample_member(nb, self.rng))
-        if name == "cover":
-            return _topology.product_cover(*args, node.pins)
-        if name == "audit_cover":
-            return _topology.audit_product_cover(*args, node.pins, self.rng)
-        if name == "audit_inv":
-            return _topology.audit_inverse_cover(*args, node.pins, self.rng)
-        return _topology.audit_separate(*args, self.rng)
+        """Evaluate a named form or a predicate by its row in ``_FORMS``."""
+        form = _FORMS.get(node.name)
+        if form is None:
+            for a in node.args:
+                self._eval(a)
+            raise EvalError(f"unknown function {node.name!r}")
+        # every argument but a word is evaluated, and then each is checked, left to right; a hand-built
+        # call with another number of arguments than its row is a ValueError
+        args = [a if kind == "w" else self._eval(a) for kind, a in zip(form.kinds, node.args, strict=True)]
+        args = [check(v) for check, v in zip(form.checks, args)]
+        if form.pins:
+            args.append(node.pins)
+        return form.value(self, *args)
 
     def _solve(self, node):
         holes = [i for i, f in enumerate(node.factors) if isinstance(f, Hole)]
@@ -463,29 +465,9 @@ class Evaluator:
             raise EvalError("the known side of a solve statement is empty")
         a = self._eval(Prod(known))
         b = self._eval(node.rhs)
-        _need_element(a, "solve")
-        _need_element(b, "solve")
-        if holes[0] == 0:
-            sols = _green.solve_left(a, b)
-        else:
-            sols = _green.solve_right(a, b)
+        solve = _green.solve_left if holes[0] == 0 else _green.solve_right
+        sols = solve(_element(a, "solve"), _element(b, "solve"))
         return frozenset(_almost.canonicalize(x) for x in sols)
-
-
-def _word_normal_form(node):
-    """Normal form (a, b) of a product of generators from one bicyclic copy."""
-    items = node.items if isinstance(node, Prod) else [node]
-    letters = []
-    key = None
-    for item in items:
-        if not isinstance(item, Gen):
-            raise EvalError("nf expects a product of bicyclic generators")
-        if key is None:
-            key = (item.index, item.orientation)
-        elif key != (item.index, item.orientation):
-            raise EvalError("nf expects generators from a single bicyclic copy")
-        letters.append(item.letter)
-    return _bicyclic.normal_form("".join(letters))
 
 
 # -- value formatting ---------------------------------------------------------------

@@ -43,15 +43,20 @@ _AM = _almost.AlmostMonotoneElement
 
 def r_equiv(a, b) -> bool:
     """Same principal right ideal, i.e. equal domains."""
+    _check_element(a, "a")
+    _check_element(b, "b")
     return a._dom_runs() == b._dom_runs()
 
 
 def l_equiv(a, b) -> bool:
     """Same principal left ideal, i.e. equal ranges."""
+    _check_element(a, "a")
+    _check_element(b, "b")
     return a._ran_runs() == b._ran_runs()
 
 
 def h_equiv(a, b) -> bool:
+    # r_equiv checks both arguments
     return r_equiv(a, b) and l_equiv(a, b)
 
 
@@ -72,6 +77,8 @@ def factorize_simple(gamma: MonotoneElement, phi: MonotoneElement):
     two-sided ideals.  kappa re-indexes dom(gamma) onto dom(phi) through the
     canonical collapses; xi is then forced.
     """
+    _check_element(gamma, "gamma")
+    _check_element(phi, "phi")
     kappa = _from_runs(gamma._dom_runs(), phi._dom_runs(), 0)
     xi = (kappa * phi).inverse() * gamma
     return kappa, xi
@@ -79,6 +86,7 @@ def factorize_simple(gamma: MonotoneElement, phi: MonotoneElement):
 
 def h_class_members(elem: MonotoneElement, alignments) -> list:
     """The members of the monotone H-class of elem at the given left-tail offsets."""
+    _check_element(elem, "elem")
     d, r = elem._dom_runs(), elem._ran_runs()
     return [_from_runs(d, r, k) for k in alignments]
 

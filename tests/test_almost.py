@@ -277,6 +277,14 @@ def test_minimal_exceptions_examples():
     assert len(minimal_exceptions(reversing)) == 2
 
 
+@pytest.mark.parametrize("value", [3, None, "am[d=0,L=0,u=1,R=0;]", IdempotentGaps({0})], ids=repr)
+def test_minimal_exceptions_and_monotonizers_reject_a_non_element(value):
+    for f in (minimal_exceptions, monotonizers):
+        with pytest.raises(InvalidElementError) as err:
+            f(value)
+        assert str(err.value) == f"elem must be an element, got {value!r}"
+
+
 def test_minimal_exceptions_matches_brute_force():
     rng = random.Random(8)
     for _ in range(400):

@@ -210,6 +210,21 @@ def test_idempotent_order_matches_products():
         assert idempotent_leq(e, f) == (ee * fe == ee and fe * ee == ee)
 
 
+@pytest.mark.parametrize("value", [3, None, frozenset({0}), IdempotentGaps({0}).to_element()], ids=repr)
+def test_idempotent_methods_reject_a_non_idempotent(value):
+    """``<=`` leaves the comparison to Python, as ``*`` does; leq, meet and covers name their argument."""
+    e = IdempotentGaps({1})
+    with pytest.raises(TypeError):
+        e <= value
+    with pytest.raises(TypeError):
+        e * value
+    for method in (e.leq, e.meet, e.covers):
+        with pytest.raises(InvalidElementError) as err:
+            method(value)
+        assert str(err.value) == f"other must be an IdempotentGaps, got {value!r}"
+    assert (e <= IdempotentGaps()) is True and (IdempotentGaps() <= e) is False
+
+
 def test_meet_examples():
     assert idempotent_meet(IdempotentGaps({0}), IdempotentGaps({5})) == IdempotentGaps({0, 5})
     e = IdempotentGaps({1, 2})

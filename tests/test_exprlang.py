@@ -1,11 +1,14 @@
 import json
+import os
 import random
+import re
 import sys
+from collections import Counter
 
 import pytest
 
 from cofinj.core import IdempotentGaps, identity, parse_element, random_element, shift
-from cofinj.exprlang import Call, Evaluator, EvalError, Lit, ParseError, format_value, parse
+from cofinj.exprlang import _FORMS, Call, Evaluator, EvalError, Lit, ParseError, format_value, parse
 from cofinj import almost as am
 from cofinj import cli
 from cofinj.topology import BasicNeighborhood
@@ -149,6 +152,26 @@ def test_each_argument_check_has_its_message(ev, stmt, message):
     with pytest.raises(EvalError) as err:
         ev.run(stmt) if isinstance(stmt, str) else ev.eval(stmt)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("args", [[], [Lit(identity())], [Lit(identity())] * 3], ids=len)
+def test_a_hand_built_call_with_another_arity_than_its_row_is_refused(ev, args):
+    """The parser never builds one; a tree built by hand neither drops an argument nor calls with too few."""
+    with pytest.raises(ValueError):
+        ev.eval(Call("~R", args))
+
+
+def test_every_form_has_its_argument_messages_and_its_docs():
+    """Each _FORMS row has a _WRONG_ARGUMENTS case per argument, and README names each identifier row."""
+    roots = [parse(stmt) if isinstance(stmt, str) else stmt for stmt, _ in _WRONG_ARGUMENTS]
+    cases = Counter(root.name for root in roots if isinstance(root, Call))
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        docs = fh.read().split("\n### Expression language\n", 1)[1].split("\n### ", 1)[0]
+    # every case's root is a row, but for the name with no row, and every row has a case
+    assert set(cases) == {*_FORMS, "nope"}
+    for name, form in _FORMS.items():
+        assert cases[name] >= len(form.kinds), name
+        assert re.search(rf"(?<!\w){re.escape(name)}\(" if name.isidentifier() else re.escape(f"'{name}'"), docs), name
 
 
 def test_solve_statements(ev):

@@ -262,6 +262,28 @@ def test_solve_rejects_a_non_element(solve, value):
         solve(e, value)
 
 
+@pytest.mark.parametrize("value", [3, None, "E{0}", IdempotentGaps({0}), BasicNeighborhood(identity(), {0}, "W")],
+                         ids=repr)
+def test_relations_factorization_and_h_class_reject_a_non_element(value):
+    """A non-element argument is an InvalidElementError that names it, where it was an AttributeError."""
+    e = identity()
+    cases = [
+        (lambda: r_equiv(value, e), "a"),
+        (lambda: r_equiv(e, value), "b"),
+        (lambda: l_equiv(value, e), "a"),
+        (lambda: l_equiv(e, value), "b"),
+        (lambda: h_equiv(value, e), "a"),
+        (lambda: h_equiv(e, value), "b"),
+        (lambda: factorize_simple(value, e), "gamma"),
+        (lambda: factorize_simple(e, value), "phi"),
+        (lambda: h_class_members(value, [0]), "elem"),
+    ]
+    for test, name in cases:
+        with pytest.raises(InvalidElementError) as err:
+            test()
+        assert str(err.value) == f"{name} must be an element, got {value!r}"
+
+
 WIDE_GAP = 10**12
 
 
