@@ -56,6 +56,7 @@ from .core import (
     _is_int,
     _literal,
     _PieceMap,
+    _quoted,
     _run_points,
     _translation_off,
     _window,
@@ -207,11 +208,13 @@ def make_almost(left_end, left_offset, right_start, right_offset, middle) -> Alm
 
 def from_monotone(elem: MonotoneElement) -> AlmostMonotoneElement:
     """The same map in almost-monotone form: the segments are its pieces."""
+    _check_element(elem, "elem")
     return AlmostMonotoneElement._trusted(elem.pieces)
 
 
 def to_monotone(elem: AlmostMonotoneElement) -> MonotoneElement:
     """Convert back to segment form; fails when the map is not monotone."""
+    _check_element(elem, "elem")
     if not elem.is_monotone():
         raise InvalidElementError("element is not monotone")
     # maximal pieces with increasing images are exactly the canonical segments
@@ -225,7 +228,11 @@ def as_almost(elem) -> AlmostMonotoneElement:
 
 
 def canonicalize(elem):
-    """Segment form whenever the map is monotone, for output; ``pieces`` compares maps of either class."""
+    """Segment form whenever the map is monotone, for output; ``pieces`` compares maps of either class.
+
+    Any other value comes back as it is: the evaluator passes the integers
+    and booleans it prints, and the members of pairs and sets, through here.
+    """
     if isinstance(elem, AlmostMonotoneElement) and elem.is_monotone():
         return MonotoneElement._trusted(elem.pieces)
     return elem
@@ -241,10 +248,17 @@ def compose_almost(a, b) -> AlmostMonotoneElement:
     Both factors' pieces go through the segment kernel in domain order, as
     they are stored, and the kernel's output is the result's maximal pieces.
     """
+    # inline checks: this sits behind almost-monotone *
+    if not isinstance(a, _PieceMap):
+        raise InvalidElementError(f"a must be an element, got {a!r}")
+    if not isinstance(b, _PieceMap):
+        raise InvalidElementError(f"b must be an element, got {b!r}")
     return AlmostMonotoneElement._trusted(_kernel.compose_segments(a.pieces, b.pieces))
 
 
 def inverse_almost(a) -> AlmostMonotoneElement:
+    if not isinstance(a, _PieceMap):
+        raise InvalidElementError(f"a must be an element, got {a!r}")
     # a's pieces turned around are maximal too: merging two of them would merge two of a's
     return AlmostMonotoneElement._trusted(sorted(_inverted(a.pieces)))
 
@@ -331,6 +345,7 @@ class UnitDecomposition(NamedTuple):
 
 def unit_decompose(elem) -> UnitDecomposition:
     """Split a unit (total bijective element) into its permutation and shift parts."""
+    _check_element(elem, "elem")
     k = elem.left_offset
     if elem._dom_runs() or elem.right_offset != k:
         raise InvalidElementError("element is not a unit")
@@ -456,7 +471,7 @@ def _entry(text: str) -> tuple:
     """(k, v) of one middle entry ``k->v``."""
     pair = _middle(text)
     if not pair:
-        raise InvalidElementError(f"malformed middle entry: {text!r}")
+        raise InvalidElementError(f"malformed middle entry: {_quoted(text)}")
     return pair.popitem()
 
 
@@ -473,7 +488,7 @@ def parse_almost(text: str) -> AlmostMonotoneElement:
     head, semicolon, body = s[3:-1].partition(";")
     tails = _head(head) if s[:3] == "am[" and s[-1:] == "]" and semicolon else None
     if tails is None:
-        raise InvalidElementError(f"not an almost-monotone literal: {text!r}")
+        raise InvalidElementError(f"not an almost-monotone literal: {_quoted(text)}")
     middle = _middle(body)
     if middle is None:
         # lazily, so make_almost sees a malformed entry and a repeated point in text order

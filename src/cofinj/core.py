@@ -548,6 +548,21 @@ def _overlaps(pa, pb):
             j += 1
 
 
+def _zones(anchors, runs) -> list:
+    """(value lo, value hi, runs) for each pair of neighbouring anchors, in domain order.
+
+    ``anchors`` are (lo, hi, offset) pieces in domain order with increasing
+    images, and ``runs`` are sorted disjoint (lo, hi) runs.  A zone holds the
+    parts of the runs strictly between its two anchors' domains, and its
+    value bounds, both exclusive, are the images of the anchor points next
+    to it.  One ``_overlaps`` walk, in O(anchors + runs).
+    """
+    zones = [(p[1] + 1, q[0] - 1, p[1] + p[2], q[0] + q[2], []) for p, q in zip(anchors, anchors[1:])]
+    for lo, hi, zone, _ in _overlaps(zones, runs):
+        zone[4].append((lo, hi))
+    return [zone[2:] for zone in zones]
+
+
 # -- spec-level operation aliases ----------------------------------------------
 
 
@@ -653,6 +668,7 @@ class IdempotentGaps:
 
     @classmethod
     def from_element(cls, elem: MonotoneElement) -> "IdempotentGaps":
+        _check_element(elem, "elem")
         if not elem.is_idempotent():
             raise InvalidElementError("element is not an idempotent")
         return cls._of_runs(elem._dom_runs())
@@ -702,11 +718,11 @@ class IdempotentGaps:
         return f"{type(self).__name__}(runs={self.runs})"
 
 
-def _idempotent_arg(other) -> IdempotentGaps:
-    """The other operand of an idempotent's method, checked, since a non-idempotent has no runs to read."""
-    if not isinstance(other, IdempotentGaps):
-        raise InvalidElementError(f"other must be an IdempotentGaps, got {other!r}")
-    return other
+def _idempotent_arg(v, name: str = "other") -> IdempotentGaps:
+    """An idempotent argument, checked, since a non-idempotent has no runs to read; ``name`` names it."""
+    if not isinstance(v, IdempotentGaps):
+        raise InvalidElementError(f"{name} must be an IdempotentGaps, got {v!r}")
+    return v
 
 
 def idempotent_leq(eps: IdempotentGaps, iota: IdempotentGaps) -> bool:
@@ -727,6 +743,16 @@ import re
 
 _SHIFT_RE = re.compile(r"shift\(\s*([+-]?\d+)\s*\)\Z")
 _EGAPS_RE = re.compile(r"E\{([^{}]*)\}\Z")
+
+
+_QUOTE_MAX = 200
+
+
+def _quoted(text: str) -> str:
+    """``repr(text)``, or the repr of its first ``_QUOTE_MAX`` characters and its length when it is longer."""
+    if len(text) <= _QUOTE_MAX:
+        return repr(text)
+    return f"{text[:_QUOTE_MAX]!r}... ({len(text)} characters)"
 
 
 def _literal(text) -> str:
@@ -803,7 +829,7 @@ def parse_element(text: str) -> MonotoneElement:
     if s[:4] == "seg[" and s[-1:] == "]":
         segs = _segment_list(s[4:-1])
         if segs is None:
-            raise InvalidElementError(f"malformed segment list: {text!r}")
+            raise InvalidElementError(f"malformed segment list: {_quoted(text)}")
         try:
             _check_canonical(segs)
         except InvalidElementError:
@@ -816,7 +842,7 @@ def parse_element(text: str) -> MonotoneElement:
         try:
             k = int(m.group(1))
         except ValueError:
-            raise InvalidElementError(f"not an element literal: {text!r}") from None
+            raise InvalidElementError(f"not an element literal: {_quoted(text)}") from None
         return shift(k)
     m = _EGAPS_RE.match(s)
     if m:
@@ -826,8 +852,8 @@ def parse_element(text: str) -> MonotoneElement:
                 raise ValueError(body)
             gaps = [int(p) for p in body.split(",")] if body else []
         except ValueError:
-            raise InvalidElementError(f"malformed gap list: {text!r}") from None
+            raise InvalidElementError(f"malformed gap list: {_quoted(text)}") from None
         # point input: the collapse cache is keyed on points, and zeroing its offsets leaves the idempotent
         segs = _collapse_cached(tuple(sorted(set(gaps)))).pieces
         return MonotoneElement._trusted([(lo, hi, 0) for lo, hi, _ in segs])
-    raise InvalidElementError(f"not an element literal: {text!r}")
+    raise InvalidElementError(f"not an element literal: {_quoted(text)}")

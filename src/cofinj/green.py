@@ -8,10 +8,12 @@ of the R/L/H relations, the factorization and the H-class members does not
 grow with the gap widths.  One solver enumerates the full (finite) solution
 set of a*x == b or x*a == b, inside the monotone monoid or inside the
 almost-monotone one, and it enumerates x itself on either side.  It reads its
-cells off gap runs, and it lists a cell's points only when the cell has room
-for an extra point.  It walks the tree of extensions of the forced map, where
-each candidate is its parent plus one point piece, so a candidate costs a
-copy of its pieces and its check against the full product.  The solutions
+cells off gap runs: a monotone cell is a zone of ``core._zones`` between two
+neighbouring forced pieces, the zone model that the monotone W draw reads
+too.  It lists a cell's points only when the cell has room for an extra
+point.  It walks the tree of extensions of the forced map, where each
+candidate is its parent plus one point piece, so a candidate costs a copy of
+its pieces and its check against the full product.  The solutions
 come back ordered by their pieces, so no solution's text is built.
 """
 
@@ -19,8 +21,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import partial
-from itertools import groupby
-from operator import itemgetter
 
 from . import _kernel
 from .core import (
@@ -29,12 +29,13 @@ from .core import (
     MonotoneElement,
     _check_element,
     _from_runs,
+    _idempotent_arg,
     _image_gaps,
     _inverted,
     _lo,
-    _overlaps,
     _run_ints,
     _runs_within,
+    _zones,
 )
 from . import almost as _almost
 
@@ -67,7 +68,7 @@ def connect_idempotents(eps: IdempotentGaps, phi: IdempotentGaps, i: int) -> Mon
     phi's gaps; distinct i give distinct elements, so every idempotent pair
     is connected by infinitely many of these.
     """
-    return _from_runs(eps.runs, phi.runs, i)
+    return _from_runs(_idempotent_arg(eps, "eps").runs, _idempotent_arg(phi, "phi").runs, i)
 
 
 def factorize_simple(gamma: MonotoneElement, phi: MonotoneElement):
@@ -173,16 +174,14 @@ def _solve(a, b, within, left):
 
 
 def _monotone_cells(free, pieces):
-    """One cell per gap between neighbouring forced pieces whose domain part meets the sorted runs ``free``.
+    """One cell per zone between neighbouring forced pieces (``core._zones``), in domain order.
 
-    Its points are the free points in the domain gap, and its values lie
+    Its points are the runs of ``free`` in the zone, and its values lie
     strictly between the images of the two neighbours; pairing them in
-    increasing order keeps the graft canonical.
+    increasing order keeps the graft canonical.  ``_extensions`` skips a
+    cell with no points.
     """
-    # (domain gap, range gap) of each neighbouring pair, as one (lo, hi, value lo, value hi) item
-    gaps = [(p[1] + 1, q[0] - 1, p[1] + p[2] + 1, q[0] + q[2] - 1) for p, q in zip(pieces, pieces[1:])]
-    cells = groupby(_overlaps(gaps, free), key=itemgetter(2))
-    return [([o[:2] for o in overlaps], [gap[2:]]) for gap, overlaps in cells]
+    return [(runs, [(vlo + 1, vhi - 1)]) for vlo, vhi, runs in _zones(pieces, free)]
 
 
 def _almost_cells(free, pieces):

@@ -30,11 +30,13 @@ cost time in the number of segments or middle points, not in the gap widths;
 ``product_cover`` lists every escape point it pins.
 
 The audits draw members with ``sample_member``.  A W draw around a monotone
-center works on runs: it cuts the center's domain runs near their ends and
-gives each run left one translation, in O(pieces + pins + cuts) at any
-width, and every member of the neighborhood is a possible draw.  Still
-linear in the width: the almost-monotone W plan and draw, the H plan's
-window lists, and ``product_cover``'s escape set.
+center works on runs: the pins split the center's domain runs into zones
+(``core._zones``, the zone model that the monotone solver's cells come from
+too), and a draw cuts the runs near their ends and gives each run left one
+translation, in O(pieces + pins + cuts) at any width.  Every member of the
+neighborhood is a possible draw.  Still linear in the width: the
+almost-monotone W plan and draw, the H plan's window lists, and
+``product_cover``'s escape set.
 
 On the monotone submonoid an H-flavor neighborhood with at least one pin is
 the singleton of its center: a monotone bijection between two fixed cofinite
@@ -44,7 +46,6 @@ sets is determined by a single value.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
 from itertools import chain
 
 from .core import (
@@ -59,6 +60,7 @@ from .core import (
     _run_size,
     _runs_within,
     _window,
+    _zones,
 )
 from . import _kernel
 from . import almost as _almost
@@ -321,34 +323,29 @@ def _cut_length(rng) -> int:
 def _w_monotone_plan(nbhd):
     """The draw of a W member around a monotone center, in O(pieces + pins + cuts) per draw.
 
-    The pins split the center's domain runs into zones.  A draw cuts the
-    runs of each zone near their ends (see ``_cut``) and gives each run left
-    one translation.  Between two pins it splits the slack the kept points
-    leave among the runs by exact uniform draws, so it stays exact when the
-    slack passes 2^53; beyond the outer pins it walks away from the pin's
-    value, each run starting 1 + geometric past the last value.  With no
-    pins the walk starts from the center's left translation, moved by a
-    signed geometric amount.  Every member of the neighborhood is a
-    possible draw: any finite set of removed points and splits is a
-    possible set of cuts, and any translations a member gives the runs are
-    possible outcomes of the walks and the uniform draws.
+    The pins, as one-point pieces between anchors at -inf and +inf, split
+    the center's domain runs into zones (``core._zones``, as the monotone
+    solver's forced pieces split its free runs into cells); the outer zones
+    have an infinite value bound.  A draw cuts the runs of each zone near
+    their ends (see ``_cut``) and gives each run left one translation.
+    Between two pins it splits the slack the kept points leave among the
+    runs by exact uniform draws, so it stays exact when the slack passes
+    2^53; beyond the outer pins it walks away from the pin's value, each run
+    starting 1 + geometric past the last value.  With no pins the walk
+    starts from the center's left translation, moved by a signed geometric
+    amount.  Every member of the neighborhood is a possible draw: any finite
+    set of removed points and splits is a possible set of cuts, and any
+    translations a member gives the runs are possible outcomes of the walks
+    and the uniform draws.
     """
     c = nbhd.center
-    pins = sorted(nbhd.pins)
-    # zone i lies between pins i - 1 and i; its value bounds are the pins' values, None beyond the outer pins
-    qs = [None, *map(c, pins), None]
-    # a member keeps none of the center's translations but the pins' values, so only its domain runs matter
-    zone_runs = [[] for _ in qs[1:]]
-    for lo, hi in _gaps_between([(NEG_INF, NEG_INF), *c._dom_runs(), (POS_INF, POS_INF)]):
-        i = bisect_left(pins, lo)
-        for p in pins[i : bisect_right(pins, hi)]:
-            if lo < p:
-                zone_runs[i].append((lo, p - 1))
-            lo, i = p + 1, i + 1
-        if lo <= hi:
-            zone_runs[i].append((lo, hi))
+    pin_pieces = [(p, p, c(p) - p) for p in sorted(nbhd.pins)]
+    # a member keeps none of the center's translations but the pins' values, so only its domain runs matter;
+    # the anchors at -inf and +inf give the outer zones infinite value bounds
+    anchors = [(NEG_INF, NEG_INF, 0), *pin_pieces, (POS_INF, POS_INF, 0)]
+    dom = _gaps_between([(NEG_INF, NEG_INF), *c._dom_runs(), (POS_INF, POS_INF)])
     zones = []
-    for qlo, qhi, runs in zip(qs, qs[1:], zone_runs):
+    for qlo, qhi, runs in _zones(anchors, dom):
         # the ends cuts count from, as (run, start, up): each finite end, and 0 up and 1 down in Z itself
         ends = []
         for j, (lo, hi) in enumerate(runs):
@@ -357,7 +354,7 @@ def _w_monotone_plan(nbhd):
             if hi != POS_INF or lo == NEG_INF:
                 ends.append((j, 1 if hi == POS_INF else hi + 1, False))
         zones.append((qlo, qhi, runs, ends))
-    pin_pieces = [(p, p, q - p) for p, q in zip(pins, qs[1:])] + [None]
+    pin_pieces.append(None)  # the pin after each zone, and none after the last
     first = c.pieces[0][2]  # the translation a zone with no pins walks from
 
     def draw(rng):
@@ -368,17 +365,17 @@ def _w_monotone_plan(nbhd):
             flags = rng.getrandbits(len(ends)) if ends else 0
             if flags:
                 runs = _cut(runs, ends, flags, geo, rng)
-            if qhi is None:
+            if qhi == POS_INF:
                 q = qlo
                 for lo, hi in runs:
                     k = geo()
-                    if q is None:
+                    if q == NEG_INF:
                         off = first - k if k and rng.getrandbits(1) else first + k
                     else:
                         off = q + 1 + k - lo
                     raw.append((lo, hi, off))
                     q = hi + off
-            elif qlo is None:
+            elif qlo == NEG_INF:
                 q = qhi
                 tail = []
                 for lo, hi in reversed(runs):

@@ -68,28 +68,8 @@ def _wide_domain(e):
     )
 
 
-def finite_bound(elem) -> int:
-    m = 0
-    if isinstance(elem, MonotoneElement):
-        for lo, hi, off in elem.segments:
-            if lo != NEG_INF:
-                m = max(m, abs(lo), abs(lo + off))
-            if hi != POS_INF:
-                m = max(m, abs(hi), abs(hi + off))
-        return m
-    m = max(
-        abs(elem.left_end),
-        abs(elem.right_start),
-        abs(elem.left_end + elem.left_offset),
-        abs(elem.right_start + elem.right_offset),
-    )
-    for k, v in elem.middle.items():
-        m = max(m, abs(k), abs(v))
-    return m
-
-
 def window_bound(*elems) -> int:
-    return 4 * max((finite_bound(e) for e in elems), default=0) + 8
+    return 4 * max((ref_extent(e) for e in elems), default=0) + 8
 
 
 def window_map(elem, w: int) -> dict:
@@ -329,7 +309,7 @@ def ref_inverse_cover(g, pins):
 
 def ref_separate(a, b):
     """The witness by (|x|, x) over [-w, w]; a and b must differ as maps."""
-    w = finite_bound(a) + finite_bound(b) + 2
+    w = ref_extent(a) + ref_extent(b) + 2
     for x in sorted(range(-w, w + 1), key=lambda t: (abs(t), t)):
         va, vb = a(x), b(x)
         if va is not None and vb is not None and va != vb:
@@ -642,6 +622,32 @@ def _ref_zone_runs(c, pins, w):
         zones[z][-1][2] = x == w
         prev = x
     return zones
+
+
+def ref_zones(anchors, runs, w):
+    """core._zones point by point over [-w, w], where w exceeds every finite bound of the anchors and runs.
+
+    Between two neighbouring anchors, the points of the runs strictly between
+    their domains, grouped into maximal runs; a run that reaches -w or w goes
+    on to infinity.  The value bounds are the largest image of the left
+    anchor's points and the smallest of the right one's, infinite for an
+    anchor with no point in the box.  ``runs`` must be maximal.
+    """
+    box = range(-w, w + 1)
+    out = []
+    for p, q in zip(anchors, anchors[1:]):
+        left = [x + p[2] for x in box if p[0] <= x <= p[1]]
+        right = [x + q[2] for x in box if q[0] <= x <= q[1]]
+        zone = []
+        for x in box:
+            if p[1] < x < q[0] and any(lo <= x <= hi for lo, hi in runs):
+                if zone and zone[-1][1] == x - 1:
+                    zone[-1][1] = x
+                else:
+                    zone.append([x, x])
+        zone = [(NEG_INF if lo == -w else lo, POS_INF if hi == w else hi) for lo, hi in zone]
+        out.append((max(left, default=NEG_INF), min(right, default=POS_INF), zone))
+    return out
 
 
 def ref_sample_w_monotone(nbhd, rng):
@@ -1107,6 +1113,13 @@ _ONE_SEG_RE = re.compile(
 )
 
 
+def _ref_quoted(text: str) -> str:
+    """How a message quotes a literal: whole up to 200 characters, else its first 200 and its length."""
+    if len(text) > 200:
+        return repr(text[:200]) + f"... ({len(text)} characters)"
+    return repr(text)
+
+
 def _parse_bound(text: str):
     if text == "-inf":
         return NEG_INF
@@ -1125,7 +1138,7 @@ def _parse_element_by_regex(text: str) -> MonotoneElement:
         try:
             k = int(m.group(1))
         except ValueError:
-            raise InvalidElementError(f"not an element literal: {text!r}") from None
+            raise InvalidElementError(f"not an element literal: {_ref_quoted(text)}") from None
         return shift(k)
     m = _EGAPS_RE.match(s)
     if m:
@@ -1133,7 +1146,7 @@ def _parse_element_by_regex(text: str) -> MonotoneElement:
         try:
             gaps = [int(p) for p in body.split(",")] if body else []
         except ValueError:
-            raise InvalidElementError(f"malformed gap list: {text!r}") from None
+            raise InvalidElementError(f"malformed gap list: {_ref_quoted(text)}") from None
         # point input: the collapse cache is keyed on points, and zeroing its offsets leaves the idempotent
         segs = _collapse_cached(tuple(sorted(set(gaps)))).pieces
         return MonotoneElement._trusted([(lo, hi, 0) for lo, hi, _ in segs])
@@ -1141,14 +1154,14 @@ def _parse_element_by_regex(text: str) -> MonotoneElement:
     if m:
         body = m.group(1)
         if not _SEG_BODY_RE.match(body):
-            raise InvalidElementError(f"malformed segment list: {text!r}")
+            raise InvalidElementError(f"malformed segment list: {_ref_quoted(text)}")
         try:
             # the regex admits only digits, so int fails only past the interpreter's digit limit
             segs = [(_parse_bound(lo), _parse_bound(hi), int(off)) for lo, hi, off in _ONE_SEG_RE.findall(body)]
         except ValueError:
-            raise InvalidElementError(f"malformed segment list: {text!r}") from None
+            raise InvalidElementError(f"malformed segment list: {_ref_quoted(text)}") from None
         return normalize(segs)
-    raise InvalidElementError(f"not an element literal: {text!r}")
+    raise InvalidElementError(f"not an element literal: {_ref_quoted(text)}")
 
 
 _AM_RE = re.compile(
@@ -1162,12 +1175,12 @@ def _parse_almost_by_regex(text: str) -> AlmostMonotoneElement:
     """The regex reader of every spelling, the reference for ``almost.parse_almost``."""
     m = _AM_RE.match(text.strip())
     if not m:
-        raise InvalidElementError(f"not an almost-monotone literal: {text!r}")
+        raise InvalidElementError(f"not an almost-monotone literal: {_ref_quoted(text)}")
     try:
         # the regex admits only digits, so int fails only past the interpreter's digit limit
         d, dl, u, ur = map(int, m.group(1, 2, 3, 4))
     except ValueError:
-        raise InvalidElementError(f"not an almost-monotone literal: {text!r}") from None
+        raise InvalidElementError(f"not an almost-monotone literal: {_ref_quoted(text)}") from None
     body = m.group(5).strip()
     # lazily, so a malformed entry and a repeated point are reported in text order
     pairs = (_parse_pair(part.strip()) for part in body.split(",")) if body else ()
@@ -1182,4 +1195,4 @@ def _parse_pair(text: str) -> tuple:
             return int(pm.group(1)), int(pm.group(2))
         except ValueError:
             pass
-    raise InvalidElementError(f"malformed middle entry: {text!r}")
+    raise InvalidElementError(f"malformed middle entry: {_ref_quoted(text)}")

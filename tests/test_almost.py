@@ -285,6 +285,26 @@ def test_minimal_exceptions_and_monotonizers_reject_a_non_element(value):
         assert str(err.value) == f"elem must be an element, got {value!r}"
 
 
+@pytest.mark.parametrize("value", [3, None, "am[d=0,L=0,u=1,R=0;]", IdempotentGaps({0})], ids=repr)
+def test_conversions_products_inverses_and_units_reject_a_non_element(value):
+    """A non-element argument is an InvalidElementError that names it, where it was an AttributeError."""
+    e = almost_identity()
+    cases = [
+        (lambda: from_monotone(value), "elem"),
+        (lambda: to_monotone(value), "elem"),
+        (lambda: compose_almost(value, e), "a"),
+        (lambda: compose_almost(e, value), "b"),
+        (lambda: inverse_almost(value), "a"),
+        (lambda: unit_decompose(value), "elem"),
+    ]
+    for test, name in cases:
+        with pytest.raises(InvalidElementError) as err:
+            test()
+        assert str(err.value) == f"{name} must be an element, got {value!r}"
+    # the evaluator passes the ints, bools, pairs and sets it prints through canonicalize
+    assert canonicalize(value) is value
+
+
 def test_minimal_exceptions_matches_brute_force():
     rng = random.Random(8)
     for _ in range(400):

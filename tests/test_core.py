@@ -225,6 +225,13 @@ def test_idempotent_methods_reject_a_non_idempotent(value):
     assert (e <= IdempotentGaps()) is True and (IdempotentGaps() <= e) is False
 
 
+@pytest.mark.parametrize("value", [3, None, "E{0}", IdempotentGaps({0})], ids=repr)
+def test_from_element_rejects_a_non_element(value):
+    with pytest.raises(InvalidElementError) as err:
+        IdempotentGaps.from_element(value)
+    assert str(err.value) == f"elem must be an element, got {value!r}"
+
+
 def test_meet_examples():
     assert idempotent_meet(IdempotentGaps({0}), IdempotentGaps({5})) == IdempotentGaps({0, 5})
     e = IdempotentGaps({1, 2})

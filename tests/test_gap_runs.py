@@ -7,7 +7,8 @@ frozenset and point-by-point version kept in helpers, on monotone,
 almost-monotone and mixed pairs, including 70-segment elements, 2^60
 offsets and pairs that are the same map in two representations.  The
 builders over runs (collapses, idempotents, elements with given gaps), the
-monotone solver's cells and the sampler's extent are checked the same way
+zones that the monotone solver and the monotone W draw read (``core._zones``),
+the monotone solver's cells and the sampler's extent are checked the same way
 against the point loops in helpers.  ``IdempotentGaps`` stores runs: each of
 its methods, ``connect_idempotents`` and ``monotonizers`` are checked against
 point sets, and at a 10^12-wide run at 2^60.
@@ -27,6 +28,8 @@ from cofinj import cli
 from cofinj.almost import minimal_exceptions, monotonizers
 from cofinj.congruence import signature_preimage, witness_idempotent
 from cofinj.core import (
+    NEG_INF,
+    POS_INF,
     IdempotentGaps,
     InvalidElementError,
     MonotoneElement,
@@ -35,6 +38,7 @@ from cofinj.core import (
     _idempotent,
     _runs_within,
     _translation_off,
+    _zones,
     element_from_gaps,
     identity,
     parse_element,
@@ -74,6 +78,7 @@ from helpers import (
     ref_sample_member,
     ref_separate,
     ref_solve_right_monotone,
+    ref_zones,
 )
 
 WIDE = 2**60
@@ -255,6 +260,97 @@ def test_monotone_solver_cells_match_point_cells():
         assert got == by_pieces(ref_solve_right_monotone(a, b)), (a, b)
         seen.add(min(len(got), 2))
     assert seen == {0, 1, 2}
+
+
+BOX_POINTS = range(-8, 9)
+
+
+@st.composite
+def _zone_cases(draw):
+    """(anchors, runs) on the box [-8, 8], in the forms that the callers of ``_zones`` pass and one more.
+
+    ``pins``: one-point anchors between the W plan's infinite end anchors.
+    ``pieces``: wider anchors whose outer two run to -inf and +inf, as the
+    solver's forced pieces do.  ``bounded``: wider anchors with finite ends
+    only, which no caller passes yet.  Neighbouring anchors may touch, and neighbouring images too.  The
+    runs are maximal, and either end may run on to infinity.
+    """
+    form = draw(st.sampled_from(("pins", "pieces", "bounded")))
+    # each box point lies outside the anchors (0), starts one (1), or extends the one before (2)
+    doms = []
+    for x, mark in zip(BOX_POINTS, draw(st.lists(st.sampled_from((0, 1, 2)), min_size=17, max_size=17))):
+        if mark == 2 and form != "pins" and doms and doms[-1][1] == x - 1:
+            doms[-1][1] = x
+        elif mark:
+            doms.append([x, x])
+    y = draw(st.integers(-8, 8))
+    anchors = []
+    for lo, hi in doms:
+        anchors.append((lo, hi, y - lo))
+        y += hi - lo + 1 + draw(st.integers(0, 2))
+    if form == "pins":
+        anchors = [(NEG_INF, NEG_INF, 0), *anchors, (POS_INF, POS_INF, 0)]
+    elif form == "pieces" and anchors:
+        anchors[0] = (NEG_INF, *anchors[0][1:])
+        anchors[-1] = (anchors[-1][0], POS_INF, anchors[-1][2])
+    points = set(draw(st.sets(st.sampled_from(BOX_POINTS))))
+    # -9 and 9 stand for the points beyond the box
+    points |= {x for x, beyond in ((-9, draw(st.booleans())), (9, draw(st.booleans()))) if beyond}
+    runs = [(NEG_INF if lo == -9 else lo, POS_INF if hi == 9 else hi) for lo, hi in _point_runs(points)]
+    return anchors, runs
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_zone_cases())
+def test_zones_match_point_zones(case):
+    anchors, runs = case
+    finite = [v for lo, hi, o in anchors for e in (lo, hi) if abs(e) != POS_INF for v in (e, e + o)]
+    w = max(map(abs, finite), default=0) + 10
+    assert _zones(anchors, runs) == ref_zones(anchors, runs, w)
+
+
+def test_zones_examples():
+    """Empty zones between touching anchors, runs across several zones, and the infinite outer zones."""
+    ends = [(NEG_INF, NEG_INF, 0)], [(POS_INF, POS_INF, 0)]
+    # adjacent pins 0 and 1 with adjacent values 5 and 6, then pin 4: one run spans all three
+    pins = [(0, 0, 5), (1, 1, 5), (4, 4, 5)]
+    assert _zones([*ends[0], *pins, *ends[1]], [(NEG_INF, 2), (4, POS_INF)]) == [
+        (NEG_INF, 5, [(NEG_INF, -1)]),
+        (5, 6, []),
+        (6, 9, [(2, 2)]),
+        (9, POS_INF, [(5, POS_INF)]),
+    ]
+    # no pins: one zone, unbounded both ways, holding every run
+    assert _zones([*ends[0], *ends[1]], [(NEG_INF, 0), (3, POS_INF)]) == [(NEG_INF, POS_INF, [(NEG_INF, 0), (3, POS_INF)])]
+    # the solver's pieces: wide anchors, the middle two touching; a run through them all is cut to each zone
+    pieces = [(NEG_INF, -3, 0), (0, 2, 1), (3, 5, 4), (9, POS_INF, 3)]
+    assert _zones(pieces, [(-2, -1), (6, 8)]) == [(-3, 1, [(-2, -1)]), (3, 7, []), (9, 12, [(6, 8)])]
+    assert _zones(pieces, [(NEG_INF, POS_INF)]) == [(-3, 1, [(-2, -1)]), (3, 7, []), (9, 12, [(6, 8)])]
+    assert _zones([(NEG_INF, POS_INF, 0)], [(0, 0)]) == []
+
+
+@pytest.mark.width
+def test_zones_ignore_gap_width():
+    """10^12-wide runs and zones at 2^60 cost what narrow ones cost: under 10 ms, fastest of three."""
+    big = 10**12
+    pins = [(WIDE + k * big, WIDE + k * big, WIDE) for k in (0, 1, 3)]
+    anchors = [(NEG_INF, NEG_INF, 0), *pins, (POS_INF, POS_INF, 0)]
+    runs = [(NEG_INF, WIDE + big), (WIDE + 2 * big, POS_INF)]
+    ms, got = _fastest_ms(lambda: _zones(anchors, runs))
+    assert got == [
+        (NEG_INF, 2 * WIDE, [(NEG_INF, WIDE - 1)]),
+        (2 * WIDE, 2 * WIDE + big, [(WIDE + 1, WIDE + big - 1)]),
+        (2 * WIDE + big, 2 * WIDE + 3 * big, [(WIDE + 2 * big, WIDE + 3 * big - 1)]),
+        (2 * WIDE + 3 * big, POS_INF, [(WIDE + 3 * big + 1, POS_INF)]),
+    ]
+    assert ms < 10, f"{ms:.3f} ms"
+    pieces = [(NEG_INF, WIDE, 0), (WIDE + big, WIDE + 2 * big, big), (WIDE + 3 * big, POS_INF, 2 * big)]
+    ms, got = _fastest_ms(lambda: _zones(pieces, [(WIDE + 1, WIDE + big - 1), (WIDE + 2 * big + 1, WIDE + 3 * big - 1)]))
+    assert got == [
+        (WIDE, WIDE + 2 * big, [(WIDE + 1, WIDE + big - 1)]),
+        (WIDE + 3 * big, WIDE + 5 * big, [(WIDE + 2 * big + 1, WIDE + 3 * big - 1)]),
+    ]
+    assert ms < 10, f"{ms:.3f} ms"
 
 
 def test_extent_matches_window_view():

@@ -284,6 +284,16 @@ def test_relations_factorization_and_h_class_reject_a_non_element(value):
         assert str(err.value) == f"{name} must be an element, got {value!r}"
 
 
+@pytest.mark.parametrize("value", [3, None, "E{0}", IdempotentGaps({0}).to_element()], ids=repr)
+def test_connect_idempotents_rejects_a_non_idempotent(value):
+    """Either idempotent argument that is not an IdempotentGaps is an InvalidElementError that names it."""
+    e = IdempotentGaps({0})
+    for test, name in ((lambda: connect_idempotents(value, e, 0), "eps"), (lambda: connect_idempotents(e, value, 0), "phi")):
+        with pytest.raises(InvalidElementError) as err:
+            test()
+        assert str(err.value) == f"{name} must be an IdempotentGaps, got {value!r}"
+
+
 WIDE_GAP = 10**12
 
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from cofinj import almost as am
 from cofinj.core import NEG_INF, POS_INF, InvalidElementError, MonotoneElement, parse_element, shift
 
-from helpers import _parse_almost_by_regex, _parse_element_by_regex
+from helpers import _parse_almost_by_regex, _parse_element_by_regex, _ref_quoted
 
 WIDE = 2**60
 BIG = 10**12
@@ -401,21 +401,50 @@ def test_integers_past_the_digit_limit_are_malformed_literals():
     huge = "9" * (limit + 1)
     entry = f"1->{huge}"
     cases = [
-        (parse_element, f"seg[(-inf..0,+0),(1..+inf,+{huge})]", "malformed segment list: {text!r}"),
-        (parse_element, f"seg[(-inf..{huge},+0),(1{huge}..+inf,+1)]", "malformed segment list: {text!r}"),
-        (parse_element, f"seg[ (-inf..0,+0),(1..+inf,-{huge})]", "malformed segment list: {text!r}"),
-        (parse_element, f"E{{0,{huge}}}", "malformed gap list: {text!r}"),
-        (parse_element, f"shift({huge})", "not an element literal: {text!r}"),
-        (parse_element, f" shift( -{huge} ) ", "not an element literal: {text!r}"),
-        (am.parse_almost, f"am[d=0,L=0,u={huge},R=0;]", "not an almost-monotone literal: {text!r}"),
-        (am.parse_almost, f"am[d=0,L=0,u=3,R=-{huge}; 1->1]", "not an almost-monotone literal: {text!r}"),
-        (am.parse_almost, f"am[d=0,L=0,u=3,R=0; {entry}]", "malformed middle entry: {entry!r}"),
-        (am.parse_almost, f"am[d=0,L=0,u=3,R=0; 2->2,  {entry}]", "malformed middle entry: {entry!r}"),
+        (parse_element, f"seg[(-inf..0,+0),(1..+inf,+{huge})]", "malformed segment list: {text}"),
+        (parse_element, f"seg[(-inf..{huge},+0),(1{huge}..+inf,+1)]", "malformed segment list: {text}"),
+        (parse_element, f"seg[ (-inf..0,+0),(1..+inf,-{huge})]", "malformed segment list: {text}"),
+        (parse_element, f"E{{0,{huge}}}", "malformed gap list: {text}"),
+        (parse_element, f"shift({huge})", "not an element literal: {text}"),
+        (parse_element, f" shift( -{huge} ) ", "not an element literal: {text}"),
+        (am.parse_almost, f"am[d=0,L=0,u={huge},R=0;]", "not an almost-monotone literal: {text}"),
+        (am.parse_almost, f"am[d=0,L=0,u=3,R=-{huge}; 1->1]", "not an almost-monotone literal: {text}"),
+        (am.parse_almost, f"am[d=0,L=0,u=3,R=0; {entry}]", "malformed middle entry: {entry}"),
+        (am.parse_almost, f"am[d=0,L=0,u=3,R=0; 2->2,  {entry}]", "malformed middle entry: {entry}"),
         # a repeated point earlier in the text is reported first
         (am.parse_almost, f"am[d=0,L=0,u=3,R=0; 2->2, 2->1, {entry}]", "middle point 2 listed twice"),
     ]
     for read, text, message in cases:
         with pytest.raises(InvalidElementError) as err:
             read(text)
-        assert str(err.value) == message.format(text=text, entry=entry)
+        # each literal is longer than 200 characters, so the message quotes its first 200
+        assert str(err.value) == message.format(text=_ref_quoted(text), entry=_ref_quoted(entry))
         _same_on_both_paths(text)
+
+
+# -- long literals in messages -----------------------------------------------------------
+
+
+def test_a_message_quotes_a_long_literal_by_its_first_200_characters_and_its_length():
+    """A malformed 10^6-character literal gives a message of under 300 characters, the same on both readers."""
+    million = 10**6
+    entry = "1->" + "2" * million + "x"
+    cases = [
+        (parse_element, "seg[" + "(0..1,+0)," * (million // 10) + "x]", "malformed segment list", None),
+        (parse_element, "E{" + "1," * (million // 2) + "x}", "malformed gap list", None),
+        (parse_element, "shift(" + "1" * million + "x)", "not an element literal", None),
+        (am.parse_almost, "am[" + "d" * million + ";]", "not an almost-monotone literal", None),
+        (am.parse_almost, f"am[d=0,L=0,u=3,R=0; 1->1, {entry}]", "malformed middle entry", entry),
+    ]
+    for read, text, what, quoted in cases:
+        quoted = quoted or text
+        with pytest.raises(InvalidElementError) as err:
+            read(text)
+        assert str(err.value) == f"{what}: {quoted[:200]!r}... ({len(quoted)} characters)"
+        assert len(str(err.value)) < 300
+        _same_on_both_paths(text)
+    # up to 200 characters the whole literal is quoted, as before
+    text = "seg[" + "x" * 196
+    with pytest.raises(InvalidElementError) as err:
+        parse_element(text)
+    assert str(err.value) == f"not an element literal: {text!r}"
